@@ -15,21 +15,21 @@
 //!   edit chain (the Section 4.2 "Multiple Steps" regime), single
 //!   threaded: a pure measurement of the translate/replay hot path.
 //! - `parallel_edit_sequence` — the same chain stepped with
-//!   [`incremental::translate_parallel`], measuring the parallel
-//!   translation path (thread startup or worker-pool dispatch plus the
-//!   same per-particle hot path).
+//!   [`incremental::infer_states_parallel_with_policy`], measuring the
+//!   parallel translation path (worker-pool dispatch plus the same
+//!   per-particle hot path).
 //! - `incremental_flat_edit_sequence` — the same edit history as a
 //!   *parsed* chain program driven through the depgraph runtime's
-//!   flat-trace interop ([`depgraph::run_edit_sequence`]): every stage
-//!   rebuilds each particle's execution graph from its trace and
+//!   flat-trace interop ([`incremental::run_state_sequence`] over
+//!   [`incremental::TraceStateAdapter`]-wrapped edit-chain links): every
+//!   stage rebuilds each particle's execution graph from its trace and
 //!   flattens it back, O(M·|t|) per stage.
 //! - `incremental_graph_edit_sequence` — the graph-native runner
-//!   ([`depgraph::run_edit_sequence_graph`]): particles *are* execution
-//!   graphs, carried across all stages; each stage propagates the edit
-//!   directly, O(M·K) for an edit touching K records.
+//!   ([`depgraph::run_edit_sequence`], inline): particles *are*
+//!   execution graphs, carried across all stages; each stage propagates
+//!   the edit directly, O(M·K) for an edit touching K records.
 //! - `incremental_graph_pooled_edit_sequence` — the graph-native runner
-//!   on the persistent worker pool
-//!   ([`depgraph::run_edit_sequence_parallel_with_policy`]).
+//!   on the persistent worker pool.
 //!
 //! All three `incremental_*` workloads must produce bit-identical
 //! checksums (the edits reuse every random choice, so no fresh
@@ -47,19 +47,16 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use depgraph::{
-    edit_chain_shared, lift_collection, run_edit_sequence, run_edit_sequence_graph,
-    run_edit_sequence_parallel_with_policy, ExecGraph,
-};
+use depgraph::{edit_chain, edit_chain_shared, lift_collection, run_edit_sequence, ExecGraph};
 use incremental::{
-    run_sequence, run_state_sequence_with_policy, translate_parallel, Correspondence,
-    CorrespondenceTranslator, FailurePolicy, MetricsRecorder, ParticleCollection, SmcConfig, Stage,
-    StateTranslator,
+    infer_states_parallel_with_policy, run_sequence, run_state_sequence, Correspondence,
+    CorrespondenceTranslator, FailurePolicy, MetricsRecorder, ParticleCollection, RunSpec,
+    SmcConfig, Stage, StateTranslator, TraceStateAdapter,
 };
 use ppl::ast::Program;
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
-use ppl::{addr, parse, Handler, PplError, Value};
+use ppl::{addr, parse, Handler, PplError, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -258,6 +255,16 @@ fn parsed_initial(programs: &[Program], particles: usize, seed: u64) -> Particle
     ParticleCollection::from_traces(traces)
 }
 
+/// Flat-trace interop stages: each edit-chain link adapted to plain
+/// traces, so every stage rebuilds each particle's execution graph from
+/// its trace and flattens it back.
+fn flat_stages(programs: &[Program]) -> Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> {
+    edit_chain(programs)
+        .into_iter()
+        .map(|t| Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
+        .collect()
+}
+
 fn collection_checksum<S>(collection: &ParticleCollection<S>) -> f64 {
     collection
         .iter()
@@ -314,16 +321,22 @@ pub fn run(config: &SmcBenchConfig, label: &str) -> SmcBenchReport {
 
     // Workload 2: the same sequence stepped through parallel translation.
     {
-        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |_rep| {
+        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |rep| {
+            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5e17 ^ rep as u64);
             let mut current = initial.clone();
             for (step, translator) in translators.iter().enumerate() {
-                current = translate_parallel(
-                    translator,
+                current = infer_states_parallel_with_policy(
+                    &TraceStateAdapter(translator),
                     &current,
+                    &SmcConfig::translate_only(),
+                    &FailurePolicy::FailFast,
+                    step,
                     config.seed.wrapping_add(step as u64),
                     config.threads,
+                    &mut rng,
                 )
-                .expect("parallel translation runs");
+                .expect("parallel translation runs")
+                .0;
             }
             collection_checksum(&current)
         });
@@ -341,14 +354,19 @@ pub fn run(config: &SmcBenchConfig, label: &str) -> SmcBenchReport {
     // choice, so all three must produce bit-identical checksums.
     let programs = parsed_chain(chain_source, config.chain_len, config.steps);
     let parsed = parsed_initial(&programs, config.particles, config.seed);
-    let smc = SmcConfig::translate_only();
+    let serial = RunSpec {
+        base_seed: config.seed,
+        ..RunSpec::default()
+    };
+    let pooled = RunSpec {
+        threads: config.threads,
+        ..serial.clone()
+    };
 
     {
-        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |rep| {
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x11a7 ^ rep as u64);
-            let run =
-                run_edit_sequence(&programs, &parsed, &smc, &FailurePolicy::FailFast, &mut rng)
-                    .expect("flat incremental sequence runs");
+        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |_rep| {
+            let run = run_state_sequence(&flat_stages(&programs), &parsed, &serial, None)
+                .expect("flat incremental sequence runs");
             collection_checksum(run.last())
         });
         results.push(WorkloadResult {
@@ -359,44 +377,17 @@ pub fn run(config: &SmcBenchConfig, label: &str) -> SmcBenchReport {
         });
     }
 
-    {
-        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |rep| {
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x11a7 ^ rep as u64);
-            let run = run_edit_sequence_graph(
-                &programs,
-                &parsed,
-                &smc,
-                &FailurePolicy::FailFast,
-                &mut rng,
-            )
-            .expect("graph-native sequence runs");
+    for (name, spec) in [
+        ("incremental_graph_edit_sequence", &serial),
+        ("incremental_graph_pooled_edit_sequence", &pooled),
+    ] {
+        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |_rep| {
+            let run = run_edit_sequence(&programs, &parsed, spec, None)
+                .expect("graph-native sequence runs");
             collection_checksum(run.last())
         });
         results.push(WorkloadResult {
-            name: "incremental_graph_edit_sequence".to_string(),
-            warmup_ms,
-            runs_ms,
-            checksum,
-        });
-    }
-
-    {
-        let (warmup_ms, runs_ms, checksum) = measure(config.repeats, |rep| {
-            let mut rng = StdRng::seed_from_u64(config.seed ^ 0x11a7 ^ rep as u64);
-            let run = run_edit_sequence_parallel_with_policy(
-                &programs,
-                &parsed,
-                &smc,
-                &FailurePolicy::FailFast,
-                config.seed,
-                config.threads,
-                &mut rng,
-            )
-            .expect("pooled graph-native sequence runs");
-            collection_checksum(run.last())
-        });
-        results.push(WorkloadResult {
-            name: "incremental_graph_pooled_edit_sequence".to_string(),
+            name: name.to_string(),
             warmup_ms,
             runs_ms,
             checksum,
@@ -420,7 +411,7 @@ pub fn run(config: &SmcBenchConfig, label: &str) -> SmcBenchReport {
 pub struct ScalingPoint {
     /// Number of latent sites in the chain.
     pub chain_len: usize,
-    /// Per-step cost of [`depgraph::run_edit_sequence`] (flat interop).
+    /// Per-step cost of the flat-trace interop stage loop.
     pub flat_ms_per_step: f64,
     /// Per-step cost of the graph-native stage loop.
     pub graph_ms_per_step: f64,
@@ -450,7 +441,10 @@ pub struct ScalingPoint {
 /// asymptotics, not throughput.
 pub fn run_scaling(config: &SmcBenchConfig) -> Vec<ScalingPoint> {
     let particles = config.particles.min(64);
-    let smc = SmcConfig::translate_only();
+    let spec = RunSpec {
+        base_seed: config.seed,
+        ..RunSpec::default()
+    };
     config
         .scaling_sizes
         .iter()
@@ -460,17 +454,10 @@ pub fn run_scaling(config: &SmcBenchConfig) -> Vec<ScalingPoint> {
 
             let mut flat_ms = f64::INFINITY;
             let mut checksum_flat = 0.0;
-            for rep in 0..config.repeats {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ca1 ^ rep as u64);
+            for _ in 0..config.repeats {
                 let start = Instant::now();
-                let run = run_edit_sequence(
-                    &programs,
-                    &initial,
-                    &smc,
-                    &FailurePolicy::FailFast,
-                    &mut rng,
-                )
-                .expect("flat scaling run");
+                let run = run_state_sequence(&flat_stages(&programs), &initial, &spec, None)
+                    .expect("flat scaling run");
                 flat_ms = flat_ms.min(start.elapsed().as_secs_f64() * 1e3);
                 checksum_flat = collection_checksum(run.last());
             }
@@ -478,25 +465,18 @@ pub fn run_scaling(config: &SmcBenchConfig) -> Vec<ScalingPoint> {
             // Graph-native: lift once outside the timer, then time only
             // the stage loop.
             let shared: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
-            let chain = edit_chain_shared(&shared);
             let lifted = lift_collection(&shared[0], &initial).expect("lift scaling particles");
-            let stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = chain
-                .iter()
-                .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-                .collect();
+            let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
+                edit_chain_shared(&shared)
+                    .into_iter()
+                    .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>)
+                    .collect();
             let mut graph_ms = f64::INFINITY;
             let mut checksum_graph = 0.0;
-            for rep in 0..config.repeats {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ca1 ^ rep as u64);
+            for _ in 0..config.repeats {
                 let start = Instant::now();
-                let run = run_state_sequence_with_policy(
-                    &stages,
-                    &lifted,
-                    &smc,
-                    &FailurePolicy::FailFast,
-                    &mut rng,
-                )
-                .expect("graph scaling run");
+                let run =
+                    run_state_sequence(&stages, &lifted, &spec, None).expect("graph scaling run");
                 graph_ms = graph_ms.min(start.elapsed().as_secs_f64() * 1e3);
                 checksum_graph = collection_checksum(run.last());
             }
@@ -508,15 +488,7 @@ pub fn run_scaling(config: &SmcBenchConfig) -> Vec<ScalingPoint> {
             let recorder = Arc::new(MetricsRecorder::new());
             let counters = {
                 let _guard = incremental::metrics::install(Arc::clone(&recorder) as _);
-                let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ca1);
-                run_state_sequence_with_policy(
-                    &stages,
-                    &lifted,
-                    &smc,
-                    &FailurePolicy::FailFast,
-                    &mut rng,
-                )
-                .expect("metrics scaling run");
+                run_state_sequence(&stages, &lifted, &spec, None).expect("metrics scaling run");
                 recorder.report("scaling").total_propagation()
             };
 

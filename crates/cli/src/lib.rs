@@ -26,13 +26,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use depgraph::{
-    diff_programs, impact_of_edit, program_fingerprint, resume_collection,
-    run_edit_sequence_parallel_with_policy, run_edit_sequence_supervised, ExecGraph,
-    IncrementalTranslator,
+    diff_programs, impact_of_edit, program_fingerprint, resume_collection, run_edit_sequence,
+    ExecGraph, IncrementalTranslator,
 };
 use incremental::{
     collection_checksum, Checkpoint, CheckpointError, FailurePolicy, McmcKernel, MetricsRecorder,
-    ParticleCollection, SmcConfig, SmcError, StageObserver, StagePolicy, StageSnapshot,
+    ParticleCollection, RunSpec, SmcConfig, SmcError, StageObserver, StagePolicy, StageSnapshot,
 };
 use inference::{ExactPosterior, SingleSiteMh};
 use ppl::ast::Program;
@@ -499,16 +498,24 @@ pub fn cmd_translate(
     Ok(out)
 }
 
+/// The most traces [`posterior_traces`] enumerates before falling back to
+/// MH. Every shipped finite program has at most a few dozen traces; an
+/// unbounded support (a `while flip(p)` loop) would otherwise enumerate
+/// ever-longer traces for minutes before reaching the enumerator's
+/// default limit.
+const EXACT_TRACE_BUDGET: usize = 1_000;
+
 /// Draws `traces` posterior samples of `p` — exact when the program is
-/// finite discrete, otherwise a thinned single-site MH chain — noting
-/// which sampler was used in `out`.
+/// finite discrete with at most [`EXACT_TRACE_BUDGET`] traces, otherwise
+/// a thinned single-site MH chain — noting which sampler was used in
+/// `out`.
 fn posterior_traces(
     p: &Program,
     traces: usize,
     rng: &mut StdRng,
     out: &mut String,
 ) -> Result<Vec<Trace>, PplError> {
-    match ExactPosterior::new(p) {
+    match ExactPosterior::with_limit(p, EXACT_TRACE_BUDGET) {
         Ok(sampler) => {
             let _ = writeln!(out, "P posterior: exact (by enumeration)");
             Ok(sampler.samples(traces, rng))
@@ -554,61 +561,6 @@ fn render_return_posterior(
         let _ = writeln!(out, "  {value} : {prob:.4}");
     }
     Ok(())
-}
-
-/// Graph-native SMC across a whole edit history: samples the posterior
-/// of the first program, lifts the particles into execution graphs once,
-/// then propagates the *graphs* through every edit on the persistent
-/// worker pool ([`depgraph::run_edit_sequence_parallel_with_policy`]).
-/// Per-particle randomness derives from `seed`, so the output is
-/// bit-identical for any `threads` value; particles are flattened back
-/// to traces only here, at the output boundary.
-///
-/// # Errors
-///
-/// Returns parse, evaluation, and SMC runtime errors.
-pub fn cmd_sequence(
-    sources: &[String],
-    traces: usize,
-    seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-) -> Result<String, PplError> {
-    let programs: Vec<Program> = sources.iter().map(|s| parse(s)).collect::<Result<_, _>>()?;
-    if programs.len() < 2 {
-        return Err(PplError::Other(
-            "sequence needs at least two programs".to_string(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "edit history: {} programs, {} stages",
-        programs.len(),
-        programs.len() - 1
-    );
-    let input = posterior_traces(&programs[0], traces, &mut rng, &mut out)?;
-    let particles = ParticleCollection::from_traces(input);
-    let run = run_edit_sequence_parallel_with_policy(
-        &programs,
-        &particles,
-        &SmcConfig::translate_only(),
-        policy,
-        seed,
-        threads.max(1),
-        &mut rng,
-    )
-    .map_err(PplError::from)?;
-    for (step, (ess, report)) in run.ess_history.iter().zip(&run.reports).enumerate() {
-        let _ = writeln!(out, "stage {step}: ESS = {ess:.1}; health: {report}");
-        for failure in &report.failures {
-            let _ = writeln!(out, "  quarantined: {failure}");
-        }
-    }
-    let flat = run.last().flatten()?;
-    render_return_posterior(&mut out, &flat)?;
-    Ok(out)
 }
 
 /// A CLI-level error: a rendered message plus the process exit code it
@@ -683,7 +635,7 @@ impl From<SmcError> for CliError {
     }
 }
 
-/// Options for [`cmd_sequence_supervised`] beyond the program sources.
+/// Options for [`cmd_sequence`] beyond the program sources.
 #[derive(Debug, Clone)]
 pub struct SequenceOpts {
     /// Number of posterior traces of the first program to start from.
@@ -762,9 +714,14 @@ fn collection_entries(collection: &ParticleCollection) -> Vec<(ppl::ChoiceMap, f
         .collect()
 }
 
-/// Crash-safe variant of [`cmd_sequence`]: graph-native SMC across an
-/// edit history with optional durable checkpoints, watchdog deadlines,
-/// and resume-from-checkpoint.
+/// Graph-native SMC across a whole edit history: samples the posterior
+/// of the first program, lifts the particles into execution graphs once,
+/// then propagates the *graphs* through every edit
+/// ([`depgraph::run_edit_sequence`]), with optional durable checkpoints,
+/// watchdog deadlines, and resume-from-checkpoint. Per-stage randomness
+/// derives from the seed, so the output is bit-identical for any
+/// `threads` and chunk size; particles are flattened back to traces only
+/// at the output boundary.
 ///
 /// With `--checkpoint <dir>`, every `checkpoint_every`-th stage boundary
 /// (and the final one) is written atomically to `dir`; with `resume`,
@@ -778,10 +735,7 @@ fn collection_entries(collection: &ParticleCollection) -> Vec<(ppl::ChoiceMap, f
 ///
 /// [`CliError`] carrying the exit code: parse/eval errors (1), inference
 /// failures (2), checkpoint/I/O errors (3).
-pub fn cmd_sequence_supervised(
-    sources: &[String],
-    opts: &SequenceOpts,
-) -> Result<String, CliError> {
+pub fn cmd_sequence(sources: &[String], opts: &SequenceOpts) -> Result<String, CliError> {
     let programs: Vec<Program> = sources
         .iter()
         .map(|s| parse(s))
@@ -895,19 +849,17 @@ pub fn cmd_sequence_supervised(
             }
             None => None,
         };
-        run_edit_sequence_supervised(
-            &programs,
-            &collection,
-            start_step,
-            &prior_ess,
-            &prior_reports,
-            &SmcConfig::translate_only().with_chunk_size(opts.chunk_size),
-            &opts.policy,
-            &stage_policy,
+        let spec = RunSpec {
+            config: SmcConfig::translate_only().with_chunk_size(opts.chunk_size),
+            policy: opts.policy,
+            stage_policy,
             base_seed,
-            opts.threads.max(1),
-            observer,
-        )
+            threads: opts.threads,
+            start_step,
+            prior_ess,
+            prior_reports,
+        };
+        run_edit_sequence(&programs, &collection, &spec, observer)
     };
     let run = match run_result {
         Ok(run) => run,
@@ -1126,12 +1078,21 @@ mod tests {
         assert!(out.contains("log weight"), "{out}");
     }
 
+    fn opts(traces: usize, seed: u64, threads: usize) -> SequenceOpts {
+        SequenceOpts {
+            traces,
+            seed,
+            threads,
+            ..SequenceOpts::default()
+        }
+    }
+
     #[test]
     fn sequence_runs_graph_native_end_to_end() {
         let mid = "x = flip(0.3) @ x; observe(flip(x ? 0.95 : 0.05) @ o == 1); return x;";
         let last = "x = flip(0.3) @ x; observe(flip(x ? 0.99 : 0.01) @ o == 1); return x;";
         let sources = [COIN.to_string(), mid.to_string(), last.to_string()];
-        let out = cmd_sequence(&sources, 20_000, 4, 1, &FailurePolicy::FailFast).unwrap();
+        let out = cmd_sequence(&sources, &opts(20_000, 4, 1)).unwrap();
         assert!(out.contains("3 programs, 2 stages"), "{out}");
         assert!(out.contains("stage 0: ESS"), "{out}");
         assert!(out.contains("stage 1: ESS"), "{out}");
@@ -1148,15 +1109,16 @@ mod tests {
     fn sequence_output_is_identical_for_any_thread_count() {
         let mid = "x = flip(0.3) @ x; observe(flip(x ? 0.95 : 0.05) @ o == 1); return x;";
         let sources = [COIN.to_string(), mid.to_string()];
-        let serial = cmd_sequence(&sources, 2_000, 7, 1, &FailurePolicy::FailFast).unwrap();
-        let pooled = cmd_sequence(&sources, 2_000, 7, 4, &FailurePolicy::FailFast).unwrap();
+        let serial = cmd_sequence(&sources, &opts(2_000, 7, 1)).unwrap();
+        let pooled = cmd_sequence(&sources, &opts(2_000, 7, 4)).unwrap();
         assert_eq!(serial, pooled);
     }
 
     #[test]
     fn sequence_rejects_a_single_program() {
         let sources = [COIN.to_string()];
-        assert!(cmd_sequence(&sources, 10, 0, 1, &FailurePolicy::FailFast).is_err());
+        let err = cmd_sequence(&sources, &opts(10, 0, 1)).unwrap_err();
+        assert_eq!(err.code, 1);
     }
 
     #[test]
@@ -1172,7 +1134,7 @@ mod tests {
             metrics_out: Some(path.clone()),
             ..SequenceOpts::default()
         };
-        let out = cmd_sequence_supervised(&sources, &opts).unwrap();
+        let out = cmd_sequence(&sources, &opts).unwrap();
         assert!(out.contains("metrics for `sequence`"), "{out}");
         assert!(out.contains("metrics written to"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();

@@ -210,7 +210,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 metrics_out,
                 chunk_size,
             };
-            ppl_cli::cmd_sequence_supervised(&sources, &opts)
+            ppl_cli::cmd_sequence(&sources, &opts)
         }
         other => Err(CliError::usage(format!(
             "unknown command `{other}`\n{}",

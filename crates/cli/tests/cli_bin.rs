@@ -115,3 +115,63 @@ fn translate_stats_on_files() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("visited"), "{text}");
 }
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_an_abort() {
+    let depth = 100_000;
+    let deep = temp_file(
+        "deep.ppl",
+        &format!("x = {}1{}; return x;", "(".repeat(depth), ")".repeat(depth)),
+    );
+    for cmd in ["check", "run"] {
+        let out = ppl().arg(cmd).arg(&deep).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("maximum depth"), "{cmd}: {text}");
+    }
+    // Nesting right at the bound still runs through every pass: the
+    // statement, the assigned expression, and `flip`'s argument take
+    // three levels, each parenthesis one more.
+    let parens = ppl::parser::MAX_NESTING_DEPTH - 3;
+    let at_bound = temp_file(
+        "at_bound.ppl",
+        &format!(
+            "x = {}flip(0.5){}; return x;",
+            "(".repeat(parens),
+            ")".repeat(parens)
+        ),
+    );
+    for cmd in ["check", "run"] {
+        let out = ppl().arg(cmd).arg(&at_bound).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn unbounded_support_falls_back_to_mh_and_finishes() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+    let (p, q) = (dir.join("geometric.ppl"), dir.join("geometric_third.ppl"));
+    for cmd in ["translate", "sequence"] {
+        let out = ppl()
+            .arg(cmd)
+            .arg(&p)
+            .arg(&q)
+            .args(["--traces", "10"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("P posterior: single-site MH"),
+            "{cmd}: {text}"
+        );
+    }
+}

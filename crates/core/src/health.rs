@@ -129,19 +129,31 @@ impl FailurePolicy {
         }
     }
 
+    /// The base seed retry attempts are reseeded from ([`retry_seed`]);
+    /// `0` for policies that never retry.
+    pub fn retry_base_seed(&self) -> u64 {
+        match self {
+            FailurePolicy::Retry { seed, .. } => *seed,
+            _ => 0,
+        }
+    }
+
+    /// The tolerated fraction of dropped particles per step; `0` for
+    /// fail-fast and retry, which tolerate no drops at all.
+    pub fn max_loss(&self) -> f64 {
+        match self {
+            FailurePolicy::DropAndRenormalize { max_loss } => *max_loss,
+            _ => 0.0,
+        }
+    }
+
     /// Whether a step that dropped `dropped` of `total` particles is
     /// within this policy's tolerated loss.
     pub fn loss_allowed(&self, dropped: usize, total: usize) -> bool {
-        match self {
-            FailurePolicy::DropAndRenormalize { max_loss } => {
-                if total == 0 {
-                    return dropped == 0;
-                }
-                dropped as f64 / total as f64 <= *max_loss
-            }
-            // Fail-fast and retry tolerate no drops at all.
-            _ => dropped == 0,
+        if total == 0 {
+            return dropped == 0;
         }
+        dropped as f64 / total as f64 <= self.max_loss()
     }
 }
 

@@ -11,7 +11,7 @@
 //! deterministic per-particle RNG seeds and write to disjoint,
 //! pre-assigned output slots, so neither worker scheduling nor pool size
 //! can influence results (see the determinism contract on
-//! [`crate::translate_parallel_with_policy`]).
+//! [`crate::infer_states_parallel_with_policy`]).
 //!
 //! Two robustness mechanisms keep the pool healthy across a long
 //! sequence run:
@@ -24,9 +24,9 @@
 //!   strength.
 //! - **Pool retirement.** A worker *wedged* inside user code (an
 //!   infinite loop, a deadlocked translation) cannot be respawned — the
-//!   thread never exits. The watchdog in
-//!   [`crate::translate_states_deadline_with_policy`] detects the hang
-//!   via a deadline, calls [`WorkerPool::retire_global`], and the next
+//!   thread never exits. The watchdog of [`crate::run_state_sequence`]
+//!   (armed by [`crate::StagePolicy::deadline`]) detects the hang via
+//!   the deadline, calls [`WorkerPool::retire_global`], and the next
 //!   [`WorkerPool::global`] call builds a fresh pool. The wedged pool is
 //!   dropped without joining (its healthy workers exit when the channel
 //!   closes; the hung thread leaks boundedly instead of blocking

@@ -5,11 +5,21 @@
 //! Algorithm 2 repeatedly, once for each new program in the sequence, to
 //! iteratively transform the weighted collection of traces from one
 //! program to the next."
+//!
+//! Two runners:
+//!
+//! - [`run_sequence`] / [`run_sequence_with_policy`] — trace-level
+//!   Algorithm 2 as the paper's figures use it: one caller RNG threaded
+//!   through every stage, and optional MCMC rejuvenation per stage.
+//! - [`run_state_sequence`] — any particle state (flat traces through
+//!   [`crate::TraceStateAdapter`], or execution graphs), parameterized by
+//!   a [`RunSpec`]: per-stage seeds, inline or pooled translation, an
+//!   optional deadline watchdog, resume from a checkpoint, and a
+//!   checkpoint observer.
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 
 use ppl::{PplError, Trace};
 
@@ -17,10 +27,7 @@ use crate::health::{FailurePolicy, SmcError, StagePolicy, StepReport};
 use crate::mcmc::McmcKernel;
 use crate::metrics;
 use crate::particles::{ParticleCollection, ParticleState};
-use crate::smc::{
-    infer_parallel_with_policy, infer_states_parallel_with_policy,
-    infer_states_supervised_with_policy, infer_states_with_policy, infer_with_policy, SmcConfig,
-};
+use crate::smc::{infer_stage, infer_with_policy, SmcConfig};
 use crate::translator::{StateTranslator, TraceTranslator};
 
 /// One stage of a program sequence: a translator into the stage's program
@@ -161,26 +168,8 @@ pub fn run_sequence(
         .map_err(PplError::from)
 }
 
-/// A [`Stage`] whose translator can be shared across worker threads
-/// (required by the parallel sequence runner).
-pub struct ParallelStage<'a> {
-    /// Translator from the previous stage's program.
-    pub translator: &'a (dyn TraceTranslator + Sync),
-    /// Optional MCMC kernel with the stage posterior invariant (applied
-    /// serially after the parallel translation phase).
-    pub mcmc: Option<&'a dyn McmcKernel>,
-}
-
-impl std::fmt::Debug for ParallelStage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelStage")
-            .field("has_mcmc", &self.mcmc.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The deterministic translation seed of stage `step` in a parallel
-/// sequence run (a golden-ratio stride over `base_seed`).
+/// The deterministic translation seed of stage `step` in a
+/// [`run_state_sequence`] run (a golden-ratio stride over `base_seed`).
 ///
 /// Public because checkpoint/resume must re-derive the exact same seed
 /// for stage `step` of a resumed run as the uninterrupted run used.
@@ -192,183 +181,21 @@ pub fn stage_seed(base_seed: u64, step: usize) -> u64 {
 /// stream ([`stage_seed`]); an arbitrary odd constant.
 const RESAMPLE_SALT: u64 = 0x5EED_5A17_C0FF_EE00;
 
-/// The deterministic *resampling* seed of stage `step` in a supervised
-/// sequence run.
+/// The deterministic *resampling* seed of stage `step` in a
+/// [`run_state_sequence`] run.
 ///
-/// The legacy runners thread one caller RNG through every stage's
-/// resampling step, which makes a stage's randomness depend on how many
-/// draws earlier stages consumed — impossible to reproduce when resuming
-/// from a checkpoint without replaying the whole prefix. The supervised
-/// runner instead seeds each stage's resampler from `base_seed` and the
-/// absolute stage index alone, so stage `s` of a resumed run is
-/// bit-identical to stage `s` of an uninterrupted one.
+/// The trace-level [`run_sequence`] threads one caller RNG through every
+/// stage's resampling step, which makes a stage's randomness depend on
+/// how many draws earlier stages consumed — impossible to reproduce when
+/// resuming from a checkpoint without replaying the whole prefix.
+/// [`run_state_sequence`] instead seeds each stage's resampler from
+/// `base_seed` and the absolute stage index alone, so stage `s` of a
+/// resumed run is bit-identical to stage `s` of an uninterrupted one.
 pub fn resample_seed(base_seed: u64, step: usize) -> u64 {
     stage_seed(base_seed ^ RESAMPLE_SALT, step)
 }
 
-/// [`run_sequence_with_policy`] with pooled parallel translation: every
-/// stage's translate/reweight loop runs on the persistent
-/// [`crate::WorkerPool`], which is spawned once and reused across all
-/// stages (and across runs in the same process). Translation randomness
-/// is derived from `base_seed` per stage, so results are bit-identical
-/// for any `threads` value; `rng` drives only resampling and
-/// rejuvenation, as in the serial runner.
-///
-/// (Edit sequences that stay graph-native end to end use
-/// [`run_state_sequence_parallel_with_policy`] instead.)
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_parallel_with_policy`].
-pub fn run_sequence_parallel_with_policy(
-    stages: &[ParallelStage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, stage) in stages.iter().enumerate() {
-        let (next, report) = infer_parallel_with_policy(
-            stage.translator,
-            stage.mcmc,
-            &current,
-            config,
-            policy,
-            step,
-            stage_seed(base_seed, step),
-            threads,
-            rng,
-        )?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// [`run_sequence_parallel_with_policy`] under
-/// [`FailurePolicy::FailFast`], with errors flattened to [`PplError`].
-///
-/// # Errors
-///
-/// Propagates errors from [`infer_parallel_with_policy`].
-pub fn run_sequence_parallel(
-    stages: &[ParallelStage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, PplError> {
-    run_sequence_parallel_with_policy(
-        stages,
-        initial,
-        config,
-        &FailurePolicy::FailFast,
-        base_seed,
-        threads,
-        rng,
-    )
-    .map_err(PplError::from)
-}
-
-/// [`run_sequence_with_policy`] generalized to any particle state: one
-/// [`StateTranslator`] per stage, the collection threaded through them
-/// serially. Stage `s` runs as SMC step `s`, exactly as in the trace
-/// runner, so fault plans and retry seeds address stages directly. (No
-/// MCMC rejuvenation — that is trace-level machinery.)
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_states_with_policy`].
-pub fn run_state_sequence_with_policy<S: Clone>(
-    stages: &[&dyn StateTranslator<S>],
-    initial: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<S>, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, translator) in stages.iter().enumerate() {
-        let (next, report) =
-            infer_states_with_policy(*translator, &current, config, policy, step, rng)?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// [`run_state_sequence_with_policy`] with pooled parallel translation:
-/// every stage's translate/reweight loop runs on the persistent
-/// [`crate::WorkerPool`] with per-particle seeds derived from
-/// `base_seed` via the same stage stride as the trace runner, so results
-/// are bit-identical for any `threads` value; `rng` drives only
-/// resampling.
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_states_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_state_sequence_parallel_with_policy<S: Clone + Send + Sync>(
-    stages: &[&(dyn StateTranslator<S> + Sync)],
-    initial: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<S>, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, translator) in stages.iter().enumerate() {
-        let (next, report) = infer_states_parallel_with_policy(
-            *translator,
-            &current,
-            config,
-            policy,
-            step,
-            stage_seed(base_seed, step),
-            threads,
-            rng,
-        )?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// The state of a supervised sequence run at a stage boundary, handed to
+/// The state of a [`run_state_sequence`] run at a stage boundary, handed to
 /// the [`StageObserver`] for checkpointing.
 ///
 /// `step` counts *completed* stages — equivalently, the index of the
@@ -386,77 +213,88 @@ pub struct StageSnapshot<'a, S> {
     pub reports: &'a [StepReport],
 }
 
-/// Callback fired at checkpoint boundaries of a supervised sequence run.
+/// Callback fired at checkpoint boundaries of a [`run_state_sequence`] run.
 /// Returning an error aborts the run with [`SmcError::Internal`]-style
 /// propagation (the error is returned as-is).
 pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), SmcError> + 'a;
 
-/// The crash-safe sequence runner: pooled (optionally deadline-watched)
-/// translation per stage, per-stage deterministic resampling seeds, and
-/// an observer fired at checkpoint boundaries.
+/// Everything a [`run_state_sequence`] run is parameterized by besides
+/// its stages, initial collection, and observer.
 ///
-/// Differences from [`run_state_sequence_parallel_with_policy`]:
+/// The defaults are a fresh, fail-fast, translate-only run from step 0
+/// with base seed 0, inline on the calling thread, without watchdog or
+/// checkpoints.
+#[derive(Debug, Clone, Default)]
+pub struct RunSpec {
+    /// Resampling policy and scheme, and the dispatch chunk size.
+    pub config: SmcConfig,
+    /// Per-particle failure policy.
+    pub policy: FailurePolicy,
+    /// Checkpoint cadence, watchdog deadline, and retry backoff.
+    pub stage_policy: StagePolicy,
+    /// The seed all per-stage randomness derives from ([`stage_seed`],
+    /// [`resample_seed`]).
+    pub base_seed: u64,
+    /// Worker-pool width for translation; `0` or `1` runs inline.
+    pub threads: usize,
+    /// Absolute SMC step of `stages[0]` (non-zero when resuming).
+    pub start_step: usize,
+    /// ESS history of the stages completed before `start_step`.
+    pub prior_ess: Vec<f64>,
+    /// Health reports of the stages completed before `start_step`.
+    pub prior_reports: Vec<StepReport>,
+}
+
+/// The state-sequence runner: Algorithm 2 once per stage, threading the
+/// collection through [`StateTranslator`] stages, with per-stage
+/// deterministic seeds, optional deadline supervision, and an observer
+/// fired at checkpoint boundaries.
 ///
-/// - **Resume support.** `start_step` offsets every stage index:
-///   `stages[i]` runs as absolute SMC step `start_step + i`, with
-///   translation seeded by [`stage_seed`]`(base_seed, step)` and
-///   resampling by [`resample_seed`]`(base_seed, step)`. Because all
-///   per-stage randomness derives from `base_seed` and the absolute
-///   index (there is no threaded RNG), running stages `k..n` on a
-///   checkpointed collection reproduces the uninterrupted run's stages
-///   `k..n` bit for bit.
+/// - **Seeds.** `stages[i]` runs as absolute SMC step
+///   `step = spec.start_step + i`, with translation seeded by
+///   [`stage_seed`]`(base_seed, step)` and resampling by
+///   [`resample_seed`]`(base_seed, step)`. Because all per-stage
+///   randomness derives from `base_seed` and the absolute index (there is
+///   no threaded RNG), results are bit-identical for any `threads` and
+///   chunk size, and running stages `k..n` on a checkpointed collection
+///   reproduces the uninterrupted run's stages `k..n` bit for bit.
+/// - **Dispatch.** `threads <= 1` translates inline; wider runs dispatch
+///   chunks on the persistent [`crate::WorkerPool`]. When
+///   [`StagePolicy::deadline`] is set, translation is deadline-supervised
+///   instead: hung particles become [`crate::FailureKind::Timeout`]
+///   failures under `spec.policy`, and a wedged worker pool is replaced
+///   instead of blocking the run forever.
 /// - **History splicing.** `prior_ess` / `prior_reports` (from the
 ///   checkpoint) are prepended to the returned run's histories, so
 ///   observers always see the full sequence history. `collections` only
 ///   contains post-resume collections.
-/// - **Watchdog.** When [`StagePolicy::deadline`] is set, translation is
-///   deadline-supervised ([`crate::translate_states_deadline_with_policy`]):
-///   hung particles become [`crate::FailureKind::Timeout`] failures
-///   under `policy`, and a wedged worker pool is replaced instead of
-///   blocking the run forever.
 /// - **Observer.** After stage `i` completes, if its absolute completed
 ///   count hits a [`StagePolicy::checkpoint_every`] boundary (or it is
 ///   the final stage), `observer` is called with a [`StageSnapshot`].
 ///
+/// Flat-trace runs adapt each [`TraceTranslator`] stage with
+/// [`crate::TraceStateAdapter`].
+///
 /// # Errors
 ///
-/// Propagates typed errors from the supervised step and any error the
+/// Propagates typed errors from each stage's SMC step and any error the
 /// observer returns.
-#[allow(clippy::too_many_arguments)]
-pub fn run_state_sequence_supervised<S>(
+pub fn run_state_sequence<S>(
     stages: &[Arc<dyn StateTranslator<S> + Send + Sync>],
     initial: &ParticleCollection<S>,
-    start_step: usize,
-    prior_ess: &[f64],
-    prior_reports: &[StepReport],
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    stage_policy: &StagePolicy,
-    base_seed: u64,
-    threads: usize,
+    spec: &RunSpec,
     mut observer: Option<&mut StageObserver<'_, S>>,
 ) -> Result<SequenceRun<S>, SmcError>
 where
     S: Clone + Send + Sync + 'static,
 {
     let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history: Vec<f64> = prior_ess.to_vec();
-    let mut reports: Vec<StepReport> = prior_reports.to_vec();
+    let mut ess_history: Vec<f64> = spec.prior_ess.clone();
+    let mut reports: Vec<StepReport> = spec.prior_reports.clone();
     let mut current = initial.clone();
     for (i, translator) in stages.iter().enumerate() {
-        let step = start_step + i;
-        let mut resample_rng = StdRng::seed_from_u64(resample_seed(base_seed, step));
-        let (next, report) = infer_states_supervised_with_policy(
-            translator,
-            &current,
-            config,
-            policy,
-            stage_policy,
-            step,
-            stage_seed(base_seed, step),
-            threads,
-            &mut resample_rng,
-        )?;
+        let step = spec.start_step + i;
+        let (next, report) = infer_stage(translator, &current, spec, step)?;
         ess_history.push(next.ess());
         reports.push(report);
         collections.push(next.clone());
@@ -464,7 +302,7 @@ where
         if let Some(observer) = observer.as_deref_mut() {
             let completed = step + 1;
             let is_last = i + 1 == stages.len();
-            let every = stage_policy.checkpoint_every;
+            let every = spec.stage_policy.checkpoint_every;
             if every > 0 && (completed.is_multiple_of(every) || is_last) {
                 let ck_start = metrics::clock();
                 observer(&StageSnapshot {
@@ -491,6 +329,7 @@ mod tests {
     use super::*;
     use crate::correspondence::Correspondence;
     use crate::forward::CorrespondenceTranslator;
+    use crate::translator::TraceStateAdapter;
     use ppl::dist::Dist;
     use ppl::handlers::simulate;
     use ppl::{addr, Enumeration, Handler, Value};
@@ -562,43 +401,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sequence_is_thread_count_invariant_and_correct() {
-        let m0 = model_with_obs(0.5);
-        let m1 = model_with_obs(0.7);
-        let m2 = model_with_obs(0.9);
-        let t01 = CorrespondenceTranslator::new(m0, m1, Correspondence::identity_on(["x"]));
-        let m1b = model_with_obs(0.7);
-        let t12 = CorrespondenceTranslator::new(m1b, m2, Correspondence::identity_on(["x"]));
-        let stages = [
-            ParallelStage {
-                translator: &t01,
-                mcmc: None,
-            },
-            ParallelStage {
-                translator: &t12,
-                mcmc: None,
-            },
+    fn state_sequence_is_thread_count_invariant_and_correct() {
+        let t01 = CorrespondenceTranslator::new(
+            model_with_obs(0.5),
+            model_with_obs(0.7),
+            Correspondence::identity_on(["x"]),
+        );
+        let t12 = CorrespondenceTranslator::new(
+            model_with_obs(0.7),
+            model_with_obs(0.9),
+            Correspondence::identity_on(["x"]),
+        );
+        let stages: [Arc<dyn StateTranslator<Trace> + Send + Sync>; 2] = [
+            Arc::new(TraceStateAdapter(t01)),
+            Arc::new(TraceStateAdapter(t12)),
         ];
         let mut rng = StdRng::seed_from_u64(9);
-        let m0_again = model_with_obs(0.5);
+        let m0 = model_with_obs(0.5);
         let traces: Vec<_> = (0..8000)
-            .map(|_| simulate(&m0_again, &mut rng).unwrap())
+            .map(|_| simulate(&m0, &mut rng).unwrap())
             .collect();
         let initial = ParticleCollection::from_traces(traces);
         let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(31);
-            run_sequence_parallel(
-                &stages,
-                &initial,
-                &SmcConfig::translate_only(),
-                777,
+            let spec = RunSpec {
+                base_seed: 777,
                 threads,
-                &mut rng,
-            )
-            .unwrap()
+                ..RunSpec::default()
+            };
+            run_state_sequence(&stages, &initial, &spec, None).unwrap()
         };
         let one = run_with(1);
         assert!(one.is_clean());
+        assert_eq!(one.reports[1].step, 1);
         let estimate = one
             .last()
             .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())

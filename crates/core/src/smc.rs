@@ -16,6 +16,19 @@
 //! [`FailurePolicy`] to failures, recovers from total weight collapse,
 //! and reports what happened in a [`StepReport`]. `infer` is the
 //! fail-fast special case of it.
+//!
+//! Every entry point is one step body around one per-particle attempt
+//! loop; they differ only in where first-attempt randomness comes from
+//! and how particles are dispatched:
+//!
+//! - [`infer_with_policy`] / [`infer_states_with_policy`] translate
+//!   serially, drawing first attempts from the caller's threaded `rng`
+//!   (the trace-level one adds MCMC rejuvenation);
+//! - [`infer_states_parallel_with_policy`] seeds every particle from
+//!   `base_seed` and dispatches chunks on the persistent [`WorkerPool`];
+//! - each stage of [`crate::run_state_sequence`] seeds translation and
+//!   resampling from the stage index and dispatches inline, on the pool,
+//!   or under the deadline watchdog, as its [`RunSpec`] says.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -27,15 +40,15 @@ use rand::{RngCore, SeedableRng};
 use ppl::{FxHashSet, LogWeight, PplError, Trace};
 
 use crate::health::{
-    retry_seed, Backoff, FailureKind, FailurePolicy, ParticleFailure, SmcError, StagePolicy,
-    StepReport,
+    retry_seed, Backoff, FailureKind, FailurePolicy, ParticleFailure, SmcError, StepReport,
 };
 use crate::mcmc::McmcKernel;
 use crate::metrics;
 use crate::particles::{Particle, ParticleCollection};
 use crate::pool::WorkerPool;
 use crate::resample::{resample, ResampleError, ResampleScheme};
-use crate::translator::{StateTranslator, TraceTranslator, TranslateCtx};
+use crate::sequence::{resample_seed, stage_seed, RunSpec};
+use crate::translator::{StateTranslator, TraceStateAdapter, TraceTranslator, TranslateCtx};
 
 /// When to resample within an `infer` step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -112,27 +125,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Adapts a [`TraceTranslator`] to the [`StateTranslator`]`<Trace>`
-/// runtime interface, so the trace-level entry points share the generic
-/// SMC machinery bit for bit.
-///
-/// (A blanket `impl StateTranslator<Trace> for T: TraceTranslator` would
-/// conflict with wrapper impls such as [`crate::FaultyTranslator`]'s
-/// generic one, so the adaptation is this private newtype instead.)
-struct AsState<'a, T: ?Sized>(&'a T);
-
-impl<T: TraceTranslator + ?Sized> StateTranslator<Trace> for AsState<'_, T> {
-    fn translate_state(
-        &self,
-        state: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<(Trace, LogWeight), PplError> {
-        let out = self.0.translate_at(state, ctx, rng)?;
-        Ok((out.trace, out.log_weight))
-    }
-}
-
 /// Runs one translation attempt with panic isolation and weight
 /// validation: a panic in the translator is caught, and a NaN or `+∞`
 /// combined log weight is rejected before it can enter a collection.
@@ -161,607 +153,139 @@ fn attempt_translate<S>(
 }
 
 /// The outcome of translating one particle under a policy's attempt
-/// budget.
-enum Outcome<S> {
-    Ok {
-        trace: S,
-        weight: LogWeight,
-        attempts: usize,
-    },
-    Failed(ParticleFailure),
-}
+/// budget: translated state + combined weight + attempts used, or the
+/// particle's failure.
+type Slot<S> = Result<(S, LogWeight, usize), ParticleFailure>;
 
-/// Translates one particle, retrying with deterministically reseeded RNGs
-/// under [`FailurePolicy::Retry`]. The first attempt draws from `rng`
-/// (preserving the caller's stream exactly); retries draw from
-/// `StdRng::seed_from_u64(retry_seed(...))` so their randomness is
-/// independent of call order and thread schedule.
-fn translate_one<S>(
+/// Translates one particle under `policy`'s attempt budget. The first
+/// attempt draws from `rng` — the caller's threaded stream on the serial
+/// path, a per-particle seeded stream on the pooled path; retry attempt
+/// `k` draws from `StdRng::seed_from_u64(retry_seed(...))`, so retry
+/// randomness is independent of call order and thread schedule.
+fn translate_slot<S>(
     translator: &dyn StateTranslator<S>,
     particle: &Particle<S>,
     step: usize,
     index: usize,
     policy: &FailurePolicy,
     rng: &mut dyn RngCore,
-) -> Outcome<S> {
-    let max_attempts = policy.max_attempts();
-    let seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
+) -> Slot<S> {
     let mut attempt = 0;
     loop {
         let ctx = TranslateCtx::new(step, index).with_attempt(attempt);
         let result = if attempt == 0 {
             attempt_translate(translator, particle, ctx, rng)
         } else {
-            let mut retry_rng = StdRng::seed_from_u64(retry_seed(seed, step, index, attempt));
-            attempt_translate(translator, particle, ctx, &mut retry_rng)
+            let seed = retry_seed(policy.retry_base_seed(), step, index, attempt);
+            attempt_translate(translator, particle, ctx, &mut StdRng::seed_from_u64(seed))
         };
+        attempt += 1;
         match result {
-            Ok((trace, weight)) => {
-                return Outcome::Ok {
-                    trace,
-                    weight,
-                    attempts: attempt + 1,
-                }
+            Ok((state, weight)) => return Ok((state, weight, attempt)),
+            Err(kind) if attempt >= policy.max_attempts() => {
+                return Err(ParticleFailure {
+                    step,
+                    particle: index,
+                    attempts: attempt,
+                    kind,
+                })
             }
-            Err(kind) => {
-                attempt += 1;
-                if attempt >= max_attempts {
-                    return Outcome::Failed(ParticleFailure {
-                        step,
-                        particle: index,
-                        attempts: attempt,
-                        kind,
-                    });
-                }
-            }
+            Err(_) => {}
         }
     }
 }
 
-/// One step of SMC (Algorithm 2) under a [`FailurePolicy`]: translate
-/// with panic isolation and weight quarantine, reweight, optionally
-/// resample, optionally run `mcmc_Q` — returning the new collection plus
-/// a [`StepReport`] of everything that went wrong and was recovered.
-///
-/// Failure handling:
-///
-/// - a particle whose translation errors, panics, or yields a NaN/`+∞`
-///   weight is handled per `policy` (abort, drop, or retry);
-/// - if after reweighting every surviving weight is zero (`ESS = 0` on a
-///   non-empty input — total collapse), a fail-fast policy surfaces
-///   [`SmcError::Collapse`]; tolerant policies keep the *pre-step*
-///   collection (still properly weighted for the previous program),
-///   skip resampling, apply rejuvenation to it, and flag the event as
-///   `collapse_recovered` in the report.
-///
-/// With [`FailurePolicy::FailFast`] and a healthy model this is
-/// bit-identical to [`infer`]: the first attempt draws from `rng` in the
-/// same order as the legacy path.
-///
-/// # Errors
-///
-/// [`SmcError::Particle`] under fail-fast (or retry exhaustion),
-/// [`SmcError::TooManyDropped`] when quarantining exceeded the policy's
-/// loss budget, [`SmcError::Collapse`] on unrecoverable weight collapse,
-/// and [`SmcError::Eval`] for evaluation errors outside translation
-/// (resampling an empty collection, MCMC rejuvenation).
-pub fn infer_with_policy(
-    translator: &dyn TraceTranslator,
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    // 1. Translate and reweight, applying the policy per particle.
-    let t_translate = metrics::clock();
-    let phase = translate_serial_with_policy(&AsState(translator), particles, policy, step, rng)?;
-    metrics::note_translate(t_translate);
-
-    // 2.–3. Degeneracy handling, resampling, and rejuvenation.
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail(phase.collection, mcmc, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-
-    let report = StepReport {
-        step,
-        input_particles: particles.len(),
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        dropped: phase.failures.len(),
-        retries: phase.retries,
-        recovered: phase.recovered,
-        failures: phase.failures,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    };
-    Ok((tail.collection, report))
+/// The per-particle seed of a seeded first attempt. Kept identical to
+/// the historical formula so clean parallel runs are bit-for-bit
+/// reproducible across versions.
+fn particle_seed(base_seed: u64, index: usize) -> u64 {
+    base_seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9))
 }
 
-/// One step of SMC over an arbitrary particle state, under a
-/// [`FailurePolicy`]: [`infer_with_policy`] generalized from flat traces
-/// to any [`StateTranslator`] state. MCMC rejuvenation is trace-level
-/// machinery and does not apply here; everything else (panic isolation,
-/// weight quarantine, drop/retry policies, resampling, collapse
-/// recovery, per-step reports) behaves identically.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`].
-pub fn infer_states_with_policy<S: Clone>(
-    translator: &dyn StateTranslator<S>,
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let phase = translate_serial_with_policy(translator, particles, policy, step, rng)?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(phase.collection, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        step,
-        input_particles: particles.len(),
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        dropped: phase.failures.len(),
-        retries: phase.retries,
-        recovered: phase.recovered,
-        failures: phase.failures,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    };
-    Ok((tail.collection, report))
-}
-
-/// Result of the serial translate/reweight phase of one SMC step.
-struct TranslatePhase<S> {
+/// Phase 1 of a step: the translated, reweighted collection and its
+/// failure tallies.
+struct Reweighted<S> {
     collection: ParticleCollection<S>,
     failures: Vec<ParticleFailure>,
     retries: usize,
     recovered: usize,
 }
 
-/// Phase 1 of Algorithm 2 (serial): translate and reweight every
-/// particle under `policy`, enforcing the policy's loss budget.
-fn translate_serial_with_policy<S>(
-    translator: &dyn StateTranslator<S>,
-    particles: &ParticleCollection<S>,
+/// Scans per-particle slots in index order into the reweighted
+/// collection under `policy`: failures are quarantined under
+/// [`FailurePolicy::DropAndRenormalize`] and abort the step otherwise,
+/// and the loss budget is enforced at the end.
+///
+/// Slots are consumed lazily, so the serial path stops translating at a
+/// fail-fast abort; and scanning in index order makes that abort name
+/// the minimum failed index on every path, independent of worker
+/// scheduling. A `None` slot is a particle the dispatcher never filled.
+fn assemble<S>(
+    total: usize,
+    slots: impl IntoIterator<Item = Option<Slot<S>>>,
     policy: &FailurePolicy,
     step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<TranslatePhase<S>, SmcError> {
-    let mut translated = ParticleCollection::new();
-    let mut failures: Vec<ParticleFailure> = Vec::new();
-    let mut retries = 0;
-    let mut recovered = 0;
-    for (j, particle) in particles.iter().enumerate() {
-        match translate_one(translator, particle, step, j, policy, rng) {
-            Outcome::Ok {
-                trace,
-                weight,
-                attempts,
-            } => {
-                retries += attempts - 1;
+) -> Result<Reweighted<S>, SmcError> {
+    let mut out = Reweighted {
+        collection: ParticleCollection::new(),
+        failures: Vec::new(),
+        retries: 0,
+        recovered: 0,
+    };
+    for (j, slot) in slots.into_iter().enumerate() {
+        let slot =
+            slot.ok_or_else(|| SmcError::Internal(format!("particle {j} was never translated")))?;
+        match slot {
+            Ok((state, weight, attempts)) => {
+                out.retries += attempts - 1;
                 if attempts > 1 {
-                    recovered += 1;
+                    out.recovered += 1;
                 }
-                translated.push(trace, weight);
+                out.collection.push(state, weight);
             }
-            Outcome::Failed(failure) => match policy {
-                FailurePolicy::DropAndRenormalize { .. } => failures.push(failure),
+            Err(failure) => match policy {
+                FailurePolicy::DropAndRenormalize { .. } => out.failures.push(failure),
                 // Fail-fast, and retry budgets exhausted, abort the step.
                 _ => return Err(SmcError::Particle(failure)),
             },
         }
     }
-    let dropped = failures.len();
-    if !policy.loss_allowed(dropped, particles.len()) {
-        let max_loss = match policy {
-            FailurePolicy::DropAndRenormalize { max_loss } => *max_loss,
-            _ => 0.0,
-        };
+    let dropped = out.failures.len();
+    if !policy.loss_allowed(dropped, total) {
         return Err(SmcError::TooManyDropped {
             step,
             dropped,
-            total: particles.len(),
-            max_loss,
-            failures,
+            total,
+            max_loss: policy.max_loss(),
+            failures: out.failures,
         });
     }
-    Ok(TranslatePhase {
-        collection: translated,
-        failures,
-        retries,
-        recovered,
-    })
+    Ok(out)
 }
 
-/// Result of the post-translation phases of one SMC step.
-struct StepTail<S = Trace> {
-    collection: ParticleCollection<S>,
-    /// Post-reweight ESS (before any resampling).
-    ess: f64,
-    resampled: bool,
-    collapse_recovered: bool,
-}
-
-/// Phases 2–3 of Algorithm 2 for flat traces: the generic degeneracy
-/// tail plus optional MCMC rejuvenation (trace-level machinery).
-fn degeneracy_tail(
-    translated: ParticleCollection,
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<StepTail, SmcError> {
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
-
-    // Optional MCMC rejuvenation (also applied to a collapse-recovered
-    // collection, per the recovery contract).
-    let final_collection = match (mcmc, config.mcmc_steps) {
-        (Some(kernel), steps) if steps > 0 => {
-            let mut rejuvenated = ParticleCollection::new();
-            for particle in tail.collection.iter() {
-                let trace: Trace = kernel.steps(&particle.trace, steps, rng)?;
-                rejuvenated.push(trace, particle.log_weight);
-            }
-            rejuvenated
-        }
-        _ => tail.collection,
-    };
-
-    Ok(StepTail {
-        collection: final_collection,
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    })
-}
-
-/// Phase 2 of Algorithm 2, shared by every step entry point: degeneracy
-/// diagnosis, optional resampling, and collapse recovery — generic over
-/// the particle state.
-fn degeneracy_tail_states<S: Clone>(
-    translated: ParticleCollection<S>,
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<StepTail<S>, SmcError> {
-    // Degeneracy diagnosis and optional resampling. Dropping under
-    // DropAndRenormalize needs no explicit renormalization: the
-    // collection's estimators self-normalize over the survivors.
-    let ess = translated.ess();
-    let collapsed = !particles.is_empty() && ess == 0.0;
-    let mut collapse_recovered = false;
-    let (collection, resampled) = if collapsed {
-        if matches!(policy, FailurePolicy::FailFast) {
-            return Err(SmcError::Collapse { step });
-        }
-        // Recovery: the pre-step collection is still a properly weighted
-        // approximation of the *previous* program's posterior — strictly
-        // more useful than an empty or all-zero collection, and the
-        // report makes the substitution visible.
-        collapse_recovered = true;
-        (particles.clone(), false)
-    } else {
-        let should_resample = match config.resample {
-            ResamplePolicy::Never => false,
-            ResamplePolicy::Always => true,
-            ResamplePolicy::EssBelow(fraction) => ess < fraction * translated.len() as f64,
-        };
-        if should_resample {
-            match resample(&translated, config.scheme, rng) {
-                Ok(resampled) => (resampled, true),
-                Err(ResampleError::Collapsed | ResampleError::NonFiniteTotal) => {
-                    // Defensive: the ESS check above should have caught
-                    // this, but treat it as the collapse it is.
-                    if matches!(policy, FailurePolicy::FailFast) {
-                        return Err(SmcError::Collapse { step });
-                    }
-                    collapse_recovered = true;
-                    (particles.clone(), false)
-                }
-                Err(e @ ResampleError::Empty) => return Err(SmcError::Eval(e.into())),
-            }
-        } else {
-            (translated, false)
-        }
-    };
-
-    Ok(StepTail {
-        collection,
-        ess,
-        resampled,
-        collapse_recovered,
-    })
-}
-
-/// One step of SMC with pooled parallel translation: phase 1 (the
-/// embarrassingly parallel translate/reweight loop) runs on the
-/// persistent [`WorkerPool`] with deterministic per-particle seeds
-/// derived from `base_seed`; phases 2–3 (resampling, rejuvenation) run
-/// serially on `rng`, exactly as in [`infer_with_policy`].
-///
-/// Unlike [`infer_with_policy`], translation randomness comes from
-/// `base_seed` rather than `rng`, so the translated collection is
-/// bit-identical for any `threads` value — see
-/// [`translate_parallel_with_policy`] for the contract.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`], plus [`SmcError::Internal`] for worker
-/// infrastructure failures.
-#[allow(clippy::too_many_arguments)]
-pub fn infer_parallel_with_policy(
-    translator: &(dyn TraceTranslator + Sync),
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let adapted = AsState(translator);
-    let (translated, translation_report) = translate_states_chunked_with_policy(
-        &adapted,
-        particles,
-        base_seed,
-        threads,
-        policy,
-        step,
-        config.chunk_size,
-    )?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail(translated, mcmc, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-        ..translation_report
-    };
-    Ok((tail.collection, report))
-}
-
-/// One step of SMC over an arbitrary particle state with pooled parallel
-/// translation: [`infer_parallel_with_policy`] generalized from flat
-/// traces to any [`StateTranslator`] state (no MCMC rejuvenation, which
-/// is trace-level machinery). Translation randomness is derived from
-/// `base_seed` per particle, so the result is bit-identical for any
-/// `threads` value; `rng` drives only resampling.
-///
-/// # Errors
-///
-/// As [`infer_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_states_parallel_with_policy<S: Clone + Send + Sync>(
-    translator: &(dyn StateTranslator<S> + Sync),
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let (translated, translation_report) = translate_states_chunked_with_policy(
-        translator,
-        particles,
-        base_seed,
-        threads,
-        policy,
-        step,
-        config.chunk_size,
-    )?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-        ..translation_report
-    };
-    Ok((tail.collection, report))
-}
-
-/// One step of SMC (Algorithm 2): translate, reweight, optionally
-/// resample, optionally run `mcmc_Q`.
-///
-/// This is [`infer_with_policy`] under [`FailurePolicy::FailFast`] with
-/// the report discarded: the first particle failure (translation error,
-/// panic, or non-finite weight) aborts the step, and a total weight
-/// collapse after reweighting (`ESS = 0` on a non-empty collection) is
-/// an error rather than a silently degenerate collection. Use
-/// [`infer_with_policy`] to drop or retry failed particles and to
-/// observe per-step health.
-///
-/// # Errors
-///
-/// Propagates translation/MCMC errors (flattened to [`PplError`]), and a
-/// collapse error if every weight is zero after reweighting.
-///
-/// # Examples
-///
-/// ```
-/// use incremental::{infer, Correspondence, CorrespondenceTranslator,
-///                   ParticleCollection, SmcConfig};
-/// use ppl::{addr, Handler, PplError};
-/// use ppl::dist::Dist;
-/// use ppl::handlers::simulate;
-/// use rand::SeedableRng;
-///
-/// let p = |h: &mut dyn Handler| h.sample(addr!["x"], Dist::flip(0.5));
-/// let q = |h: &mut dyn Handler| h.sample(addr!["x"], Dist::flip(0.9));
-/// let translator = CorrespondenceTranslator::new(p, q, Correspondence::identity_on(["x"]));
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let traces = (0..200).map(|_| simulate(&p, &mut rng)).collect::<Result<Vec<_>, _>>()?;
-/// let particles = ParticleCollection::from_traces(traces);
-/// let out = infer(&translator, None, &particles, &SmcConfig::translate_only(), &mut rng)?;
-/// let p_true = out.probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())?;
-/// assert!((p_true - 0.9).abs() < 0.1);
-/// # Ok::<(), PplError>(())
-/// ```
-pub fn infer(
-    translator: &dyn TraceTranslator,
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    rng: &mut dyn RngCore,
-) -> Result<ParticleCollection, PplError> {
-    let (collection, _report) = infer_with_policy(
-        translator,
-        mcmc,
-        particles,
-        config,
-        &FailurePolicy::FailFast,
-        0,
-        rng,
-    )
-    .map_err(PplError::from)?;
-    Ok(collection)
-}
-
-/// The per-particle seed of the parallel path's first attempt. Kept
-/// identical to the historical formula so clean parallel runs are
-/// bit-for-bit reproducible across versions.
-fn particle_seed(base_seed: u64, index: usize) -> u64 {
-    base_seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9))
-}
-
-/// The per-particle outcome slot of the parallel path: translated state +
-/// combined weight + attempts used, or the particle's failure.
-type Slot<S = Trace> = Result<(S, LogWeight, usize), ParticleFailure>;
-
-/// Translates one particle for the parallel path, using its deterministic
-/// per-attempt seeds — the unit of work both the pooled and the scoped
-/// implementations dispatch.
-fn translate_slot<S>(
+/// Serial translate phase: first attempts draw from the caller's `rng`,
+/// particle by particle in index order.
+fn translate_serial<S>(
     translator: &dyn StateTranslator<S>,
-    particle: &Particle<S>,
-    j: usize,
-    base_seed: u64,
-    policy_seed: u64,
-    max_attempts: usize,
-    step: usize,
-) -> Slot<S> {
-    let mut slot: Option<Slot<S>> = None;
-    for attempt in 0..max_attempts {
-        let seed = if attempt == 0 {
-            particle_seed(base_seed, j)
-        } else {
-            retry_seed(policy_seed, step, j, attempt)
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
-        match attempt_translate(translator, particle, ctx, &mut rng) {
-            Ok((trace, weight)) => {
-                slot = Some(Ok((trace, weight, attempt + 1)));
-                break;
-            }
-            Err(kind) => {
-                slot = Some(Err(ParticleFailure {
-                    step,
-                    particle: j,
-                    attempts: attempt + 1,
-                    kind,
-                }));
-            }
-        }
-    }
-    slot.expect("at least one attempt ran")
-}
-
-/// Parallel translation under a [`FailurePolicy`]: each particle's
-/// `translate` is independent (Algorithm 2's first loop is
-/// embarrassingly parallel), so the collection is chunked into `threads`
-/// work items executed on the persistent [`WorkerPool`], with
-/// per-particle panic isolation and weight quarantine. The pool is
-/// created on first use and reused by every subsequent step, so a long
-/// [`crate::run_sequence`] pays thread-spawn cost once, not per step.
-///
-/// Determinism: particle `j`'s first attempt uses an RNG seeded from
-/// `base_seed` and `j`, and retry attempt `k` uses
-/// `retry_seed(policy_seed, step, j, k)` — so results, reports, and
-/// (under fail-fast) *which* failure is reported are identical for any
-/// thread count and any pool size, and bit-identical to the historical
-/// scoped-thread implementation
-/// ([`translate_parallel_with_policy_scoped`]). Fail-fast surfaces the
-/// failure of the smallest particle index, not whichever worker lost the
-/// race.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`], plus [`SmcError::Internal`] if the worker
-/// infrastructure itself misbehaves (a panic outside user translation
-/// code, or an unfilled particle slot).
-pub fn translate_parallel_with_policy(
-    translator: &(dyn TraceTranslator + Sync),
-    particles: &ParticleCollection,
-    base_seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let adapted = AsState(translator);
-    translate_states_parallel_with_policy(&adapted, particles, base_seed, threads, policy, step)
-}
-
-/// [`translate_parallel_with_policy`] generalized to any particle state:
-/// the pooled, deterministic, panic-isolated translate/reweight phase the
-/// graph-native runtime drives with [`StateTranslator`]s. Same seed
-/// formulae, same thread-count-invariance contract, same minimum-index
-/// fail-fast behavior.
-///
-/// # Errors
-///
-/// As [`translate_parallel_with_policy`].
-pub fn translate_states_parallel_with_policy<S: Send + Sync>(
-    translator: &(dyn StateTranslator<S> + Sync),
     particles: &ParticleCollection<S>,
-    base_seed: u64,
-    threads: usize,
     policy: &FailurePolicy,
     step: usize,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    translate_states_chunked_with_policy(
-        translator, particles, base_seed, threads, policy, step, None,
-    )
+    rng: &mut dyn RngCore,
+) -> Result<Reweighted<S>, SmcError> {
+    let slots = particles
+        .iter()
+        .enumerate()
+        .map(|(j, particle)| Some(translate_slot(translator, particle, step, j, policy, rng)));
+    assemble(particles.len(), slots, policy, step)
 }
 
-/// [`translate_states_parallel_with_policy`] with an explicit
-/// particles-per-task chunk size (`None` = [`auto_chunk_size`]).
-///
-/// Chunk size is pure dispatch granularity: every particle keeps its own
-/// `(base_seed, step, particle, attempt)` seed derivation, its own
-/// `catch_unwind` isolation, and its own output slot, so results,
-/// reports, and fail-fast failure selection are bit-identical for any
-/// chunk size and any thread count.
-///
-/// # Errors
-///
-/// As [`translate_states_parallel_with_policy`].
-pub fn translate_states_chunked_with_policy<S: Send + Sync>(
+/// Seeded translate phase: particle `j`'s first attempt draws from
+/// `particle_seed(base_seed, j)`, so the result is bit-identical for any
+/// `threads` and any `chunk_size` (`None` = [`auto_chunk_size`]). With
+/// one thread (or at most one particle) it runs inline; otherwise
+/// contiguous chunks of particles run as scoped tasks on the persistent
+/// [`WorkerPool`], each writing its own pre-assigned output slots.
+fn translate_pooled<S: Send + Sync>(
     translator: &(dyn StateTranslator<S> + Sync),
     particles: &ParticleCollection<S>,
     base_seed: u64,
@@ -769,59 +293,43 @@ pub fn translate_states_chunked_with_policy<S: Send + Sync>(
     policy: &FailurePolicy,
     step: usize,
     chunk_size: Option<usize>,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let threads = threads.max(1);
-    let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
+) -> Result<Reweighted<S>, SmcError> {
+    let seeded = |j: usize, particle: &Particle<S>| {
+        let mut rng = StdRng::seed_from_u64(particle_seed(base_seed, j));
+        translate_slot(translator, particle, step, j, policy, &mut rng)
     };
-    let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
-    if threads == 1 || particles.len() <= 1 {
+    if threads <= 1 || particles.len() <= 1 {
         // Serial fast path: no dispatch overhead, same seeds, same result.
-        for (j, particle) in particles.iter().enumerate() {
-            slots[j] = Some(translate_slot(
-                translator,
-                particle,
-                j,
-                base_seed,
-                policy_seed,
-                max_attempts,
-                step,
-            ));
-        }
-    } else {
-        let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
-        let chunk = chunk_size
-            .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
-            .clamp(1, items.len());
-        // Items are enumerated in order, so chunking items and slots with
-        // the same stride pairs every particle with its own output slot.
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-            .chunks(chunk)
-            .zip(slots.chunks_mut(chunk))
-            .map(|(chunk, out)| {
-                Box::new(move || {
-                    for ((j, particle), slot) in chunk.iter().zip(out.iter_mut()) {
-                        *slot = Some(translate_slot(
-                            translator,
-                            particle,
-                            *j,
-                            base_seed,
-                            policy_seed,
-                            max_attempts,
-                            step,
-                        ));
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        metrics::note_stage_dispatch(tasks.len() as u64, chunk as u64);
-        WorkerPool::global()
-            .run_scoped(tasks)
-            .map_err(SmcError::Internal)?;
+        let slots = particles
+            .iter()
+            .enumerate()
+            .map(|(j, particle)| Some(seeded(j, particle)));
+        return assemble(particles.len(), slots, policy, step);
     }
-    assemble_parallel(particles, slots, policy, step)
+    let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
+    let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
+    let chunk = chunk_size
+        .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
+        .clamp(1, items.len());
+    let seeded = &seeded;
+    // Items are enumerated in order, so chunking items and slots with the
+    // same stride pairs every particle with its own output slot.
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .chunks(chunk)
+        .zip(slots.chunks_mut(chunk))
+        .map(|(chunk, out)| {
+            Box::new(move || {
+                for ((j, particle), slot) in chunk.iter().zip(out.iter_mut()) {
+                    *slot = Some(seeded(*j, particle));
+                }
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    metrics::note_stage_dispatch(tasks.len() as u64, chunk as u64);
+    WorkerPool::global()
+        .run_scoped(tasks)
+        .map_err(SmcError::Internal)?;
+    assemble(particles.len(), slots, policy, step)
 }
 
 /// A worker's progress messages for one supervised round: `Started`
@@ -833,7 +341,7 @@ enum RoundMsg<S> {
     Done(Result<(S, LogWeight), FailureKind>),
 }
 
-/// Deadline-supervised parallel translation: the watchdog half of the
+/// Deadline-supervised translate phase: the watchdog half of the
 /// crash-safety layer. Each particle is dispatched to the global
 /// [`WorkerPool`] as an *owned* task ([`WorkerPool::spawn_owned`]) that
 /// reports through a per-round channel, so — unlike the scoped path,
@@ -859,45 +367,18 @@ enum RoundMsg<S> {
 /// Determinism: seeds are the parallel path's
 /// (`particle_seed(base_seed, j)` first, `retry_seed(...)` after a
 /// particle's own failure), so a run with no timeouts is bit-identical
-/// to [`translate_states_parallel_with_policy`] for any pool size; and
+/// to [`translate_pooled`] for any pool size and chunk size; and
 /// `waited_ms` in a timeout failure is the configured deadline, not the
 /// measured wall-clock, so reports are reproducible too.
 ///
-/// # Errors
-///
-/// As [`translate_states_parallel_with_policy`]; timed-out particles
-/// surface as [`FailureKind::Timeout`] under the policy's usual rules.
-pub fn translate_states_deadline_with_policy<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
-    particles: &ParticleCollection<S>,
-    base_seed: u64,
-    policy: &FailurePolicy,
-    step: usize,
-    deadline: Duration,
-    backoff: &Backoff,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
-    translate_states_deadline_chunked_with_policy(
-        translator, particles, base_seed, policy, step, deadline, backoff, None,
-    )
-}
-
-/// [`translate_states_deadline_with_policy`] with an explicit
-/// particles-per-task chunk size (`None` = [`auto_chunk_size`] over the
-/// global pool's width). A chunk is one owned task that translates its
-/// particles in index order, still announcing `Started`/`Done` per
-/// particle — so the watchdog's blame rules are unchanged: a particle
-/// that started and missed the deadline is charged a timeout, and one
-/// queued behind a hung neighbor (whether in another task or earlier in
-/// its own chunk) rolls over uncharged.
-///
-/// # Errors
-///
-/// As [`translate_states_deadline_with_policy`].
+/// A chunk (`chunk_size`, `None` = [`auto_chunk_size`] over the global
+/// pool's width) is one owned task that translates its particles in
+/// index order, still announcing `Started`/`Done` per particle — so a
+/// particle queued behind a hung neighbor (in another task or earlier in
+/// its own chunk) rolls over uncharged. Timed-out particles surface as
+/// [`FailureKind::Timeout`] under the policy's usual rules.
 #[allow(clippy::too_many_arguments)]
-pub fn translate_states_deadline_chunked_with_policy<S>(
+fn translate_watched<S>(
     translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
     particles: &ParticleCollection<S>,
     base_seed: u64,
@@ -906,15 +387,11 @@ pub fn translate_states_deadline_chunked_with_policy<S>(
     deadline: Duration,
     backoff: &Backoff,
     chunk_size: Option<usize>,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
+) -> Result<Reweighted<S>, SmcError>
 where
     S: Clone + Send + Sync + 'static,
 {
     let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
     let waited_ms = deadline.as_millis() as u64;
     let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
     // Attempts already charged to each particle (timeouts and failures;
@@ -959,7 +436,7 @@ where
                     let seed = if attempt == 0 {
                         particle_seed(base_seed, j)
                     } else {
-                        retry_seed(policy_seed, step, j, attempt)
+                        retry_seed(policy.retry_base_seed(), step, j, attempt)
                     };
                     (j, particle, attempt, seed)
                 })
@@ -1073,252 +550,324 @@ where
             kind: FailureKind::Timeout { waited_ms },
         }));
     }
-    assemble_parallel(particles, slots, policy, step)
+    assemble(particles.len(), slots, policy, step)
 }
 
-/// One supervised SMC step: deadline-watched translation (when
-/// [`StagePolicy::deadline`] is set; plain pooled translation otherwise)
-/// followed by the standard degeneracy tail. This is the step primitive
-/// [`crate::run_state_sequence_supervised`] drives.
-///
-/// # Errors
-///
-/// As [`infer_states_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_states_supervised_with_policy<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
+/// Result of the post-translation phase of one SMC step.
+struct StepTail<S> {
+    collection: ParticleCollection<S>,
+    /// Post-reweight ESS (before any resampling).
+    ess: f64,
+    resampled: bool,
+    collapse_recovered: bool,
+}
+
+/// Phase 2 of Algorithm 2, shared by every step entry point: degeneracy
+/// diagnosis, optional resampling, and collapse recovery — generic over
+/// the particle state.
+fn degeneracy_tail<S: Clone>(
+    translated: ParticleCollection<S>,
     particles: &ParticleCollection<S>,
     config: &SmcConfig,
     policy: &FailurePolicy,
-    stage_policy: &StagePolicy,
     step: usize,
-    base_seed: u64,
-    threads: usize,
     rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
-    let t_translate = metrics::clock();
-    let (translated, translation_report) = match stage_policy.deadline {
-        Some(deadline) => translate_states_deadline_chunked_with_policy(
-            translator,
-            particles,
-            base_seed,
-            policy,
-            step,
-            deadline,
-            &stage_policy.backoff,
-            config.chunk_size,
-        )?,
-        None => {
-            let t: &(dyn StateTranslator<S> + Sync) = &**translator;
-            translate_states_chunked_with_policy(
-                t,
-                particles,
-                base_seed,
-                threads,
-                policy,
-                step,
-                config.chunk_size,
-            )?
+) -> Result<StepTail<S>, SmcError> {
+    // Degeneracy diagnosis and optional resampling. Dropping under
+    // DropAndRenormalize needs no explicit renormalization: the
+    // collection's estimators self-normalize over the survivors.
+    let ess = translated.ess();
+    let collapsed = !particles.is_empty() && ess == 0.0;
+    let mut collapse_recovered = false;
+    let (collection, resampled) = if collapsed {
+        if matches!(policy, FailurePolicy::FailFast) {
+            return Err(SmcError::Collapse { step });
+        }
+        // Recovery: the pre-step collection is still a properly weighted
+        // approximation of the *previous* program's posterior — strictly
+        // more useful than an empty or all-zero collection, and the
+        // report makes the substitution visible.
+        collapse_recovered = true;
+        (particles.clone(), false)
+    } else {
+        let should_resample = match config.resample {
+            ResamplePolicy::Never => false,
+            ResamplePolicy::Always => true,
+            ResamplePolicy::EssBelow(fraction) => ess < fraction * translated.len() as f64,
+        };
+        if should_resample {
+            match resample(&translated, config.scheme, rng) {
+                Ok(resampled) => (resampled, true),
+                Err(ResampleError::Collapsed | ResampleError::NonFiniteTotal) => {
+                    // Defensive: the ESS check above should have caught
+                    // this, but treat it as the collapse it is.
+                    if matches!(policy, FailurePolicy::FailFast) {
+                        return Err(SmcError::Collapse { step });
+                    }
+                    collapse_recovered = true;
+                    (particles.clone(), false)
+                }
+                Err(e @ ResampleError::Empty) => return Err(SmcError::Eval(e.into())),
+            }
+        } else {
+            (translated, false)
         }
     };
+
+    Ok(StepTail {
+        collection,
+        ess,
+        resampled,
+        collapse_recovered,
+    })
+}
+
+/// The one step body every entry point shares: times the translate
+/// phase (which may draw from `rng`), runs the degeneracy tail on `rng`,
+/// and merges both into the step's [`StepReport`].
+fn finish_step<S: Clone>(
+    particles: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    step: usize,
+    rng: &mut dyn RngCore,
+    translate: impl FnOnce(&mut dyn RngCore) -> Result<Reweighted<S>, SmcError>,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
+    let t_translate = metrics::clock();
+    let phase = translate(rng)?;
     metrics::note_translate(t_translate);
     let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
+    let tail = degeneracy_tail(phase.collection, particles, config, policy, step, rng)?;
     metrics::note_resample(t_resample);
     let report = StepReport {
+        step,
+        input_particles: particles.len(),
         output_particles: tail.collection.len(),
         ess: tail.ess,
+        dropped: phase.failures.len(),
+        retries: phase.retries,
+        recovered: phase.recovered,
+        failures: phase.failures,
         resampled: tail.resampled,
         collapse_recovered: tail.collapse_recovered,
-        ..translation_report
     };
     Ok((tail.collection, report))
 }
 
-/// The historical per-call `std::thread::scope` implementation of
-/// [`translate_parallel_with_policy`], kept as the reference the pooled
-/// path is differentially tested against (results must be bit-identical).
-pub fn translate_parallel_with_policy_scoped(
-    translator: &(dyn TraceTranslator + Sync),
-    particles: &ParticleCollection,
-    base_seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let threads = threads.max(1);
-    let items: Vec<(usize, &Particle)> = particles.iter().enumerate().collect();
-    let chunk_size = items.len().div_ceil(threads).max(1);
-    let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
-    let adapted = AsState(translator);
-    let results: Vec<Result<Vec<(usize, Slot)>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let adapted = &adapted;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|(j, particle)| {
-                            (
-                                *j,
-                                translate_slot(
-                                    adapted,
-                                    particle,
-                                    *j,
-                                    base_seed,
-                                    policy_seed,
-                                    max_attempts,
-                                    step,
-                                ),
-                            )
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "translation worker panicked outside user code".to_string())
-            })
-            .collect()
-    });
-
-    let mut slots: Vec<Option<Slot>> = (0..particles.len()).map(|_| None).collect();
-    for chunk in results {
-        for (j, slot) in chunk.map_err(SmcError::Internal)? {
-            slots[j] = Some(slot);
-        }
-    }
-    assemble_parallel(particles, slots, policy, step)
-}
-
-/// Scans the filled slots in index order and builds the output collection
-/// and report — shared tail of the pooled and scoped parallel paths.
-fn assemble_parallel<S>(
-    particles: &ParticleCollection<S>,
-    slots: Vec<Option<Slot<S>>>,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let mut out = ParticleCollection::new();
-    let mut failures: Vec<ParticleFailure> = Vec::new();
-    let mut retries = 0;
-    let mut recovered = 0;
-    for (j, slot) in slots.into_iter().enumerate() {
-        let slot =
-            slot.ok_or_else(|| SmcError::Internal(format!("particle {j} was never translated")))?;
-        match slot {
-            Ok((trace, weight, attempts)) => {
-                retries += attempts - 1;
-                if attempts > 1 {
-                    recovered += 1;
-                }
-                out.push(trace, weight);
-            }
-            Err(failure) => match policy {
-                FailurePolicy::DropAndRenormalize { .. } => failures.push(failure),
-                // Scanning in index order makes this the minimum failed
-                // index, independent of worker scheduling.
-                _ => return Err(SmcError::Particle(failure)),
-            },
-        }
-    }
-    let dropped = failures.len();
-    if !policy.loss_allowed(dropped, particles.len()) {
-        let max_loss = match policy {
-            FailurePolicy::DropAndRenormalize { max_loss } => *max_loss,
-            _ => 0.0,
-        };
-        return Err(SmcError::TooManyDropped {
-            step,
-            dropped,
-            total: particles.len(),
-            max_loss,
-            failures,
-        });
-    }
-    let report = StepReport {
-        step,
-        input_particles: particles.len(),
-        output_particles: out.len(),
-        ess: out.ess(),
-        dropped,
-        retries,
-        recovered,
-        failures,
-        resampled: false,
-        collapse_recovered: false,
-    };
-    Ok((out, report))
-}
-
-/// Parallel translation: each particle's `translate` is independent
-/// (Algorithm 2's first loop is embarrassingly parallel), so the
-/// collection is chunked across `threads` workers.
+/// One step of SMC (Algorithm 2) under a [`FailurePolicy`]: translate
+/// with panic isolation and weight quarantine, reweight, optionally
+/// resample, optionally run `mcmc_Q` — returning the new collection plus
+/// a [`StepReport`] of everything that went wrong and was recovered.
 ///
-/// Determinism: particle `j` is translated with an RNG seeded from
-/// `base_seed` and `j`, so the result is identical for any thread count
-/// (and reproducible across runs) — unlike threading one RNG through.
+/// Failure handling:
 ///
-/// This is [`translate_parallel_with_policy`] under
-/// [`FailurePolicy::FailFast`]: the smallest-index failure (error,
-/// panic, or non-finite weight) aborts translation with a typed error
-/// flattened to [`PplError`].
+/// - a particle whose translation errors, panics, or yields a NaN/`+∞`
+///   weight is handled per `policy` (abort, drop, or retry);
+/// - if after reweighting every surviving weight is zero (`ESS = 0` on a
+///   non-empty input — total collapse), a fail-fast policy surfaces
+///   [`SmcError::Collapse`]; tolerant policies keep the *pre-step*
+///   collection (still properly weighted for the previous program),
+///   skip resampling, apply rejuvenation to it, and flag the event as
+///   `collapse_recovered` in the report.
+///
+/// With [`FailurePolicy::FailFast`] and a healthy model this is
+/// bit-identical to [`infer`]: first attempts draw from `rng` in
+/// particle order, then resampling and rejuvenation draw from it.
 ///
 /// # Errors
 ///
-/// Propagates the failure of the smallest failing particle index.
-pub fn translate_parallel(
-    translator: &(dyn TraceTranslator + Sync),
+/// [`SmcError::Particle`] under fail-fast (or retry exhaustion),
+/// [`SmcError::TooManyDropped`] when quarantining exceeded the policy's
+/// loss budget, [`SmcError::Collapse`] on unrecoverable weight collapse,
+/// and [`SmcError::Eval`] for evaluation errors outside translation
+/// (resampling an empty collection, MCMC rejuvenation).
+pub fn infer_with_policy(
+    translator: &dyn TraceTranslator,
+    mcmc: Option<&dyn McmcKernel>,
     particles: &ParticleCollection,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    step: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(ParticleCollection, StepReport), SmcError> {
+    let adapted = TraceStateAdapter(translator);
+    let (collection, report) = finish_step(particles, config, policy, step, rng, |rng| {
+        translate_serial(&adapted, particles, policy, step, rng)
+    })?;
+    // Optional MCMC rejuvenation (also applied to a collapse-recovered
+    // collection, per the recovery contract).
+    let kernel = match mcmc {
+        Some(kernel) if config.mcmc_steps > 0 => kernel,
+        _ => return Ok((collection, report)),
+    };
+    let t_rejuvenate = metrics::clock();
+    let mut rejuvenated = ParticleCollection::new();
+    for particle in collection.iter() {
+        let trace: Trace = kernel.steps(&particle.trace, config.mcmc_steps, rng)?;
+        rejuvenated.push(trace, particle.log_weight);
+    }
+    metrics::note_resample(t_rejuvenate);
+    Ok((rejuvenated, report))
+}
+
+/// One step of SMC over an arbitrary particle state, under a
+/// [`FailurePolicy`]: [`infer_with_policy`] generalized from flat traces
+/// to any [`StateTranslator`] state. MCMC rejuvenation is trace-level
+/// machinery and does not apply here; everything else (panic isolation,
+/// weight quarantine, drop/retry policies, resampling, collapse
+/// recovery, per-step reports) behaves identically.
+///
+/// # Errors
+///
+/// As [`infer_with_policy`].
+pub fn infer_states_with_policy<S: Clone>(
+    translator: &dyn StateTranslator<S>,
+    particles: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    step: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
+    finish_step(particles, config, policy, step, rng, |rng| {
+        translate_serial(translator, particles, policy, step, rng)
+    })
+}
+
+/// One step of SMC over an arbitrary particle state with seeded, pooled
+/// translation: particle `j`'s first attempt draws from a seed derived
+/// from `base_seed` and `j` (retries from [`retry_seed`]), and chunks of
+/// [`SmcConfig::chunk_size`] particles run on the persistent
+/// [`WorkerPool`] (inline when `threads <= 1`). The result, the report,
+/// and under fail-fast *which* failure is reported (the smallest
+/// particle index) are bit-identical for any `threads` and any chunk
+/// size; `rng` drives only resampling.
+///
+/// # Errors
+///
+/// As [`infer_with_policy`], plus [`SmcError::Internal`] if the worker
+/// infrastructure itself misbehaves (a panic outside user translation
+/// code, or an unfilled particle slot).
+#[allow(clippy::too_many_arguments)]
+pub fn infer_states_parallel_with_policy<S: Clone + Send + Sync>(
+    translator: &(dyn StateTranslator<S> + Sync),
+    particles: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    step: usize,
     base_seed: u64,
     threads: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
+    finish_step(particles, config, policy, step, rng, |_| {
+        translate_pooled(
+            translator,
+            particles,
+            base_seed,
+            threads,
+            policy,
+            step,
+            config.chunk_size,
+        )
+    })
+}
+
+/// One stage of [`crate::run_state_sequence`] at absolute SMC step
+/// `step`: translation seeded by [`stage_seed`], resampling by
+/// [`resample_seed`], dispatched as [`infer_states_parallel_with_policy`]
+/// does — or, when [`crate::StagePolicy::deadline`] is set, under the
+/// deadline watchdog, the only dispatch whose tasks can be abandoned.
+pub(crate) fn infer_stage<S>(
+    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
+    particles: &ParticleCollection<S>,
+    spec: &RunSpec,
+    step: usize,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError>
+where
+    S: Clone + Send + Sync + 'static,
+{
+    let base_seed = stage_seed(spec.base_seed, step);
+    let mut rng = StdRng::seed_from_u64(resample_seed(spec.base_seed, step));
+    let (config, policy) = (&spec.config, &spec.policy);
+    finish_step(particles, config, policy, step, &mut rng, |_| {
+        match spec.stage_policy.deadline {
+            Some(deadline) => translate_watched(
+                translator,
+                particles,
+                base_seed,
+                policy,
+                step,
+                deadline,
+                &spec.stage_policy.backoff,
+                config.chunk_size,
+            ),
+            None => translate_pooled(
+                &**translator,
+                particles,
+                base_seed,
+                spec.threads,
+                policy,
+                step,
+                config.chunk_size,
+            ),
+        }
+    })
+}
+
+/// One step of SMC (Algorithm 2): translate, reweight, optionally
+/// resample, optionally run `mcmc_Q`.
+///
+/// This is [`infer_with_policy`] under [`FailurePolicy::FailFast`] with
+/// the report discarded: the first particle failure (translation error,
+/// panic, or non-finite weight) aborts the step, and a total weight
+/// collapse after reweighting (`ESS = 0` on a non-empty collection) is
+/// an error rather than a silently degenerate collection. Use
+/// [`infer_with_policy`] to drop or retry failed particles and to
+/// observe per-step health.
+///
+/// # Errors
+///
+/// Propagates translation/MCMC errors (flattened to [`PplError`]), and a
+/// collapse error if every weight is zero after reweighting.
+///
+/// # Examples
+///
+/// ```
+/// use incremental::{infer, Correspondence, CorrespondenceTranslator,
+///                   ParticleCollection, SmcConfig};
+/// use ppl::{addr, Handler, PplError};
+/// use ppl::dist::Dist;
+/// use ppl::handlers::simulate;
+/// use rand::SeedableRng;
+///
+/// let p = |h: &mut dyn Handler| h.sample(addr!["x"], Dist::flip(0.5));
+/// let q = |h: &mut dyn Handler| h.sample(addr!["x"], Dist::flip(0.9));
+/// let translator = CorrespondenceTranslator::new(p, q, Correspondence::identity_on(["x"]));
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let traces = (0..200).map(|_| simulate(&p, &mut rng)).collect::<Result<Vec<_>, _>>()?;
+/// let particles = ParticleCollection::from_traces(traces);
+/// let out = infer(&translator, None, &particles, &SmcConfig::translate_only(), &mut rng)?;
+/// let p_true = out.probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())?;
+/// assert!((p_true - 0.9).abs() < 0.1);
+/// # Ok::<(), PplError>(())
+/// ```
+pub fn infer(
+    translator: &dyn TraceTranslator,
+    mcmc: Option<&dyn McmcKernel>,
+    particles: &ParticleCollection,
+    config: &SmcConfig,
+    rng: &mut dyn RngCore,
 ) -> Result<ParticleCollection, PplError> {
-    translate_parallel_with_policy(
+    let (collection, _report) = infer_with_policy(
         translator,
+        mcmc,
         particles,
-        base_seed,
-        threads,
+        config,
         &FailurePolicy::FailFast,
         0,
+        rng,
     )
-    .map(|(collection, _report)| collection)
-    .map_err(PplError::from)
-}
-
-/// Translates a collection without resampling or rejuvenation and also
-/// returns the per-particle weight increments (useful for analysis of the
-/// "no weights" ablation in the paper's Figures 8–9).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn translate_collection(
-    translator: &dyn TraceTranslator,
-    particles: &ParticleCollection,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection, Vec<f64>), PplError> {
-    let mut out = ParticleCollection::new();
-    let mut increments = Vec::with_capacity(particles.len());
-    for particle in particles.iter() {
-        let translated = translator.translate(&particle.trace, rng)?;
-        increments.push(translated.log_weight.log());
-        out.push(
-            translated.trace,
-            particle.log_weight + translated.log_weight,
-        );
-    }
-    Ok((out, increments))
+    .map_err(PplError::from)?;
+    Ok(collection)
 }
 
 /// The "no weights" ablation: translate but *discard* the weight
@@ -1394,6 +943,27 @@ mod tests {
             p_model as ModelFn,
             q_model as ModelFn,
             Correspondence::identity_on(["x"]),
+        )
+    }
+
+    /// A translate-only seeded step at step 0 on `threads` workers.
+    fn pooled<T: TraceTranslator + Sync>(
+        translator: &T,
+        particles: &ParticleCollection,
+        base_seed: u64,
+        threads: usize,
+        policy: &FailurePolicy,
+    ) -> Result<(ParticleCollection, StepReport), SmcError> {
+        let mut rng = StdRng::seed_from_u64(0);
+        infer_states_parallel_with_policy(
+            &TraceStateAdapter(translator),
+            particles,
+            &SmcConfig::translate_only(),
+            policy,
+            0,
+            base_seed,
+            threads,
+            &mut rng,
         )
     }
 
@@ -1485,9 +1055,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let particles = posterior_samples_of_p(2_000, &mut rng);
         let translator = pq_translator();
-        let one = translate_parallel(&translator, &particles, 7, 1).unwrap();
-        let four = translate_parallel(&translator, &particles, 7, 4).unwrap();
-        let nine = translate_parallel(&translator, &particles, 7, 9).unwrap();
+        let ff = FailurePolicy::FailFast;
+        let one = pooled(&translator, &particles, 7, 1, &ff).unwrap().0;
+        let four = pooled(&translator, &particles, 7, 4, &ff).unwrap().0;
+        let nine = pooled(&translator, &particles, 7, 9, &ff).unwrap().0;
         // Thread-count independence: identical traces and weights.
         for ((a, b), c) in one.iter().zip(four.iter()).zip(nine.iter()) {
             assert_eq!(a.trace.to_choice_map(), b.trace.to_choice_map());
@@ -1502,24 +1073,6 @@ mod tests {
             .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())
             .unwrap();
         assert!((estimate - exact).abs() < 0.05, "{estimate} vs {exact}");
-    }
-
-    #[test]
-    fn translate_collection_reports_increments() {
-        let mut rng = StdRng::seed_from_u64(103);
-        let particles = posterior_samples_of_p(10, &mut rng);
-        let translator = pq_translator();
-        let (out, increments) = translate_collection(&translator, &particles, &mut rng).unwrap();
-        assert_eq!(out.len(), 10);
-        assert_eq!(increments.len(), 10);
-        // Increments are the weight ratio 0.7/0.2 or 0.1/0.8 (obs only).
-        for inc in increments {
-            let w = inc.exp();
-            assert!(
-                (w - 0.7 / 0.2).abs() < 1e-9 || (w - 0.1 / 0.8).abs() < 1e-9,
-                "unexpected increment {w}"
-            );
-        }
     }
 
     #[test]
@@ -1561,15 +1114,8 @@ mod tests {
             .with(FaultSpec::always(0, 17, FaultKind::Panic));
         let faulty = FaultyTranslator::new(pq_translator(), plan);
         for threads in [1, 3, 8] {
-            let err = translate_parallel_with_policy(
-                &faulty,
-                &particles,
-                7,
-                threads,
-                &FailurePolicy::FailFast,
-                0,
-            )
-            .unwrap_err();
+            let err =
+                pooled(&faulty, &particles, 7, threads, &FailurePolicy::FailFast).unwrap_err();
             match err {
                 SmcError::Particle(failure) => {
                     assert_eq!(failure.particle, 17, "threads = {threads}");
@@ -1590,12 +1136,9 @@ mod tests {
             .with(FaultSpec::always(0, 150, FaultKind::Error));
         let faulty = FaultyTranslator::new(pq_translator(), plan);
         let policy = FailurePolicy::DropAndRenormalize { max_loss: 0.05 };
-        let (first, first_report) =
-            translate_parallel_with_policy(&faulty, &particles, 11, 1, &policy, 0).unwrap();
+        let (first, first_report) = pooled(&faulty, &particles, 11, 1, &policy).unwrap();
         for threads in [2, 5, 16] {
-            let (other, report) =
-                translate_parallel_with_policy(&faulty, &particles, 11, threads, &policy, 0)
-                    .unwrap();
+            let (other, report) = pooled(&faulty, &particles, 11, threads, &policy).unwrap();
             // NaN in the NonFiniteWeight record defeats `==` on the whole
             // report, so compare field by field.
             assert_eq!(report.ess.to_bits(), first_report.ess.to_bits());
@@ -1634,10 +1177,8 @@ mod tests {
             max_attempts: 3,
             seed: 99,
         };
-        let (a, report_a) =
-            translate_parallel_with_policy(&faulty, &particles, 5, 2, &policy, 0).unwrap();
-        let (b, report_b) =
-            translate_parallel_with_policy(&faulty, &particles, 5, 7, &policy, 0).unwrap();
+        let (a, report_a) = pooled(&faulty, &particles, 5, 2, &policy).unwrap();
+        let (b, report_b) = pooled(&faulty, &particles, 5, 7, &policy).unwrap();
         assert_eq!(report_a, report_b);
         assert_eq!(report_a.retries, 1);
         assert_eq!(report_a.recovered, 1);

@@ -38,7 +38,5 @@ pub use propagate::{set_verify_slices, verify_slices_enabled, IncrementalResult,
 pub use record::{program_fingerprint, ExecGraph};
 pub use sequence::{
     edit_chain, edit_chain_shared, lift_collection, resume_collection, run_edit_sequence,
-    run_edit_sequence_flat_supervised, run_edit_sequence_graph, run_edit_sequence_parallel,
-    run_edit_sequence_parallel_with_policy, run_edit_sequence_supervised,
 };
 pub use translator::IncrementalTranslator;

@@ -24,7 +24,22 @@ impl ExactPosterior {
     /// Propagates enumeration errors, and errors if the posterior has no
     /// mass (all observations impossible).
     pub fn new(model: &dyn Model) -> Result<ExactPosterior, PplError> {
-        let enumeration = Enumeration::run(model)?;
+        Self::from_enumeration(&Enumeration::run(model)?)
+    }
+
+    /// [`ExactPosterior::new`] giving up beyond `limit` traces — a cheap
+    /// probe for callers that fall back to approximate inference when the
+    /// support is large or unbounded.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExactPosterior::new`], with [`PplError::FuelExhausted`] past
+    /// `limit` traces.
+    pub fn with_limit(model: &dyn Model, limit: usize) -> Result<ExactPosterior, PplError> {
+        Self::from_enumeration(&Enumeration::run_with_limit(model, limit)?)
+    }
+
+    fn from_enumeration(enumeration: &Enumeration) -> Result<ExactPosterior, PplError> {
         let mut traces = Vec::new();
         let mut cumulative = Vec::new();
         let mut acc = 0.0;

@@ -1,6 +1,6 @@
 //! Differential kill-and-resume tests for the crash-safe sequence runner.
 //!
-//! The contract under test: a supervised edit-sequence run that is killed
+//! The contract under test: a checkpointed edit-sequence run that is killed
 //! mid-sequence and resumed from its last durable checkpoint produces a
 //! final particle collection **bit-identical** to an uninterrupted run —
 //! for serial and pooled execution, for flat-trace and graph-native
@@ -10,16 +10,17 @@
 //! [`collection_checksum`], which hashes the serialized choice maps and
 //! exact log-weight bits.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use depgraph::{
-    resume_collection, run_edit_sequence_flat_supervised, run_edit_sequence_supervised, ExecGraph,
-};
+use common::flat_stages;
+use depgraph::{resume_collection, run_edit_sequence, ExecGraph};
 use incremental::{
-    collection_checksum, Checkpoint, CheckpointError, FailurePolicy, ParticleCollection,
-    ParticleState, ResamplePolicy, SequenceRun, SmcConfig, SmcError, StageObserver, StagePolicy,
-    StageSnapshot, StepReport,
+    collection_checksum, run_state_sequence, Checkpoint, CheckpointError, ParticleCollection,
+    ParticleState, ResamplePolicy, RunSpec, SequenceRun, SmcConfig, SmcError, StageObserver,
+    StagePolicy, StageSnapshot, StepReport,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -109,6 +110,26 @@ fn crashing_saver<S: ParticleState>(
     }
 }
 
+/// The run spec of a (possibly resumed) run: ESS-triggered resampling,
+/// a checkpoint at every stage boundary, and the resumed histories.
+fn spec(
+    start_step: usize,
+    prior_ess: &[f64],
+    prior_reports: &[StepReport],
+    threads: usize,
+) -> RunSpec {
+    RunSpec {
+        config: config(),
+        stage_policy: StagePolicy::checkpoint_every(1),
+        base_seed: SEED,
+        threads,
+        start_step,
+        prior_ess: prior_ess.to_vec(),
+        prior_reports: prior_reports.to_vec(),
+        ..RunSpec::default()
+    }
+}
+
 fn run_graph(
     ps: &[Program],
     start: &ParticleCollection,
@@ -118,19 +139,8 @@ fn run_graph(
     threads: usize,
     observer: Option<&mut StageObserver<'_, Arc<ExecGraph>>>,
 ) -> Result<SequenceRun<Arc<ExecGraph>>, SmcError> {
-    run_edit_sequence_supervised(
-        ps,
-        start,
-        start_step,
-        prior_ess,
-        prior_reports,
-        &config(),
-        &FailurePolicy::FailFast,
-        &StagePolicy::checkpoint_every(1),
-        SEED,
-        threads,
-        observer,
-    )
+    let spec = spec(start_step, prior_ess, prior_reports, threads);
+    run_edit_sequence(ps, start, &spec, observer)
 }
 
 fn run_flat(
@@ -142,19 +152,9 @@ fn run_flat(
     threads: usize,
     observer: Option<&mut StageObserver<'_, ppl::Trace>>,
 ) -> Result<SequenceRun, SmcError> {
-    run_edit_sequence_flat_supervised(
-        ps,
-        start,
-        start_step,
-        prior_ess,
-        prior_reports,
-        &config(),
-        &FailurePolicy::FailFast,
-        &StagePolicy::checkpoint_every(1),
-        SEED,
-        threads,
-        observer,
-    )
+    let spec = spec(start_step, prior_ess, prior_reports, threads);
+    let stages = flat_stages(ps).split_off(start_step);
+    run_state_sequence(&stages, start, &spec, observer)
 }
 
 #[test]
@@ -238,9 +238,9 @@ fn flat_kill_and_resume_is_bit_identical() {
     }
 }
 
-/// Flat-trace and graph-native supervised runs agree bit-for-bit — the
-/// same representation-independence contract `graph_native.rs` pins for
-/// the legacy runners, now extended to the crash-safe path.
+/// Flat-trace and graph-native checkpointed runs agree bit-for-bit — the
+/// same representation-independence contract `graph_native.rs` pins,
+/// extended to runs with resampling and checkpoints.
 #[test]
 fn flat_and_graph_supervised_runs_agree() {
     let ps = programs();

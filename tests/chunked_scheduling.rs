@@ -11,16 +11,16 @@
 //! sharing unchanged subtrees by node id) must flatten to exactly the
 //! trace the flat round-trip path produces.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use depgraph::{
-    edit_chain_shared, lift_collection, run_edit_sequence_parallel_with_policy, ExecGraph,
-};
+use common::{assert_bit_identical, graph_stages_with};
+use depgraph::{edit_chain_shared, lift_collection, run_edit_sequence, ExecGraph};
 use incremental::{
-    run_state_sequence_parallel_with_policy, run_state_sequence_supervised, Backoff, FailurePolicy,
-    FaultKind, FaultPlan, FaultSpec, FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig,
-    StagePolicy, StateTranslator, TraceTranslator,
+    run_state_sequence, Backoff, FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator,
+    ParticleCollection, RunSpec, SmcConfig, StagePolicy, TraceTranslator,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -61,42 +61,6 @@ fn initial(ps: &[Program]) -> ParticleCollection {
     ParticleCollection::from_traces(traces)
 }
 
-/// Asserts two flat sequence runs are bit-identical: same per-stage log
-/// weights (to the bit), same choice maps, same health reports.
-fn assert_bit_identical(reference: &SequenceRun, candidate: &SequenceRun, context: &str) {
-    assert_eq!(
-        reference.collections.len(),
-        candidate.collections.len(),
-        "{context}: stage count"
-    );
-    for (stage, (a, b)) in reference
-        .collections
-        .iter()
-        .zip(&candidate.collections)
-        .enumerate()
-    {
-        assert_eq!(a.len(), b.len(), "{context}: stage {stage} size");
-        for (j, (pa, pb)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(
-                pa.log_weight.log().to_bits(),
-                pb.log_weight.log().to_bits(),
-                "{context}: stage {stage} particle {j} weight"
-            );
-            assert_eq!(
-                pa.trace.to_choice_map(),
-                pb.trace.to_choice_map(),
-                "{context}: stage {stage} particle {j} choices"
-            );
-        }
-    }
-    for (a, b) in reference.reports.iter().zip(&candidate.reports) {
-        assert_eq!(a.ess.to_bits(), b.ess.to_bits(), "{context}: report ess");
-        assert_eq!(a.dropped, b.dropped, "{context}: report dropped");
-        assert_eq!(a.retries, b.retries, "{context}: report retries");
-        assert_eq!(a.recovered, b.recovered, "{context}: report recovered");
-    }
-}
-
 /// The chunk sizes the suite sweeps: single-particle tasks, an uneven
 /// divisor, a chunk larger than `particles / threads`, and one chunk for
 /// the whole stage.
@@ -104,25 +68,25 @@ fn chunk_sizes() -> [Option<usize>; 4] {
     [Some(1), Some(7), Some(64), Some(PARTICLES)]
 }
 
+/// A run spec with the given chunk size and thread count.
+fn spec(chunk: Option<usize>, threads: usize, base_seed: u64) -> RunSpec {
+    RunSpec {
+        config: SmcConfig::translate_only().with_chunk_size(chunk),
+        base_seed,
+        threads,
+        ..RunSpec::default()
+    }
+}
+
 #[test]
 fn chunk_size_and_thread_count_do_not_change_results() {
     let ps = programs();
     let init = initial(&ps);
     let run_with = |chunk: Option<usize>, threads: usize| {
-        let config = SmcConfig::translate_only().with_chunk_size(chunk);
-        let mut rng = StdRng::seed_from_u64(61);
-        run_edit_sequence_parallel_with_policy(
-            &ps,
-            &init,
-            &config,
-            &FailurePolicy::FailFast,
-            707,
-            threads,
-            &mut rng,
-        )
-        .unwrap()
-        .flatten()
-        .unwrap()
+        run_edit_sequence(&ps, &init, &spec(chunk, threads, 707), None)
+            .unwrap()
+            .flatten()
+            .unwrap()
     };
     let reference = run_with(None, 1);
     for chunk in chunk_sizes() {
@@ -166,22 +130,15 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
         ),
     ] {
         let run_with = |chunk: Option<usize>, threads: usize| {
-            let faulty: Vec<_> = edit_chain_shared(&shared)
-                .into_iter()
-                .map(|t| FaultyTranslator::new(t, plan.clone()))
-                .collect();
-            let stages: Vec<&(dyn StateTranslator<Arc<ExecGraph>> + Sync)> = faulty
-                .iter()
-                .map(|t| t as &(dyn StateTranslator<Arc<ExecGraph>> + Sync))
-                .collect();
-            let config = SmcConfig::translate_only().with_chunk_size(chunk);
-            let mut rng = StdRng::seed_from_u64(67);
-            run_state_sequence_parallel_with_policy(
-                &stages, &lifted, &config, &policy, 808, threads, &mut rng,
-            )
-            .unwrap()
-            .flatten()
-            .unwrap()
+            let stages = graph_stages_with(&shared, |t| FaultyTranslator::new(t, plan.clone()));
+            let spec = RunSpec {
+                policy,
+                ..spec(chunk, threads, 808)
+            };
+            run_state_sequence(&stages, &lifted, &spec, None)
+                .unwrap()
+                .flatten()
+                .unwrap()
         };
         let reference = run_with(None, 1);
         for chunk in chunk_sizes() {
@@ -204,8 +161,6 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
 fn deadline_supervised_path_is_chunk_invariant() {
     let ps = programs();
     let init = initial(&ps);
-    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
-    let lifted = lift_collection(&shared[0], &init).unwrap();
     let stage_policy = StagePolicy::default()
         .with_deadline(Duration::from_secs(20))
         .with_backoff(Backoff::new(
@@ -213,34 +168,20 @@ fn deadline_supervised_path_is_chunk_invariant() {
             2.0,
             Duration::from_millis(50),
         ));
-    let run_with = |chunk: Option<usize>, threads: usize| {
-        let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
-            edit_chain_shared(&shared)
-                .into_iter()
-                .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>)
-                .collect();
-        let config = SmcConfig::translate_only().with_chunk_size(chunk);
-        run_state_sequence_supervised(
-            &stages,
-            &lifted,
-            0,
-            &[],
-            &[],
-            &config,
-            &FailurePolicy::FailFast,
-            &stage_policy,
-            909,
-            threads,
-            None,
-        )
-        .unwrap()
-        .flatten()
-        .unwrap()
+    let run_with = |chunk: Option<usize>, threads: usize, stage_policy: StagePolicy| {
+        let spec = RunSpec {
+            stage_policy,
+            ..spec(chunk, threads, 909)
+        };
+        run_edit_sequence(&ps, &init, &spec, None)
+            .unwrap()
+            .flatten()
+            .unwrap()
     };
-    let reference = run_with(None, 1);
+    let reference = run_with(None, 1, StagePolicy::default());
     for chunk in chunk_sizes() {
         for threads in [1, 3] {
-            let candidate = run_with(chunk, threads);
+            let candidate = run_with(chunk, threads, stage_policy);
             assert_bit_identical(
                 &reference,
                 &candidate,

@@ -9,8 +9,8 @@
 //! at 1, 3, and 8 worker threads, and the summed log-weight checksum
 //! must match to the bit.
 
-use depgraph::{run_edit_sequence_parallel_with_policy, ExecGraph};
-use incremental::{FailurePolicy, ParticleCollection, SequenceRun, SmcConfig};
+use depgraph::{run_edit_sequence, ExecGraph};
+use incremental::{ParticleCollection, RunSpec, SequenceRun};
 use ppl::ast::Program;
 use ppl::handlers::simulate;
 use ppl::parse;
@@ -51,17 +51,12 @@ fn run(threads: usize) -> SequenceRun<Arc<ExecGraph>> {
         .map(|_| simulate(&programs[0], &mut rng).expect("prior simulation"))
         .collect();
     let initial = ParticleCollection::from_traces(traces);
-    let mut seq_rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
+    let spec = RunSpec {
+        base_seed: SEED,
         threads,
-        &mut seq_rng,
-    )
-    .expect("graph-native run")
+        ..RunSpec::default()
+    };
+    run_edit_sequence(&programs, &initial, &spec, None).expect("graph-native run")
 }
 
 /// Sum of finite per-particle log-weights in the final collection — the

@@ -1,24 +1,23 @@
 //! Differential tests for graph-native particle SMC.
 //!
-//! The graph-native edit-sequence runner ([`run_edit_sequence_graph`] and
-//! its pooled variant) must be *bit-identical* to the flat-trace
-//! reference ([`run_edit_sequence`]) whenever the edits reuse every
-//! random choice: the representation (traces vs. persistent execution
-//! graphs) and the threading (serial vs. worker pool) are implementation
-//! details that may never change the weights. These tests pin that
-//! contract down across failure policies, resampling schemes, thread
-//! counts, and fault injection with quarantine and retry.
+//! The graph-native edit-sequence runner ([`run_edit_sequence`]) must be
+//! *bit-identical* to flat-trace interop (the same edit chain adapted to
+//! plain traces and driven by [`run_state_sequence`]) whenever the edits
+//! reuse every random choice: the representation (traces vs. persistent
+//! execution graphs) and the threading (inline vs. worker pool) are
+//! implementation details that may never change the weights. These tests
+//! pin that contract down across failure policies, resampling schemes,
+//! thread counts, and fault injection with quarantine and retry.
+
+mod common;
 
 use std::sync::Arc;
 
-use depgraph::{
-    edit_chain, edit_chain_shared, lift_collection, run_edit_sequence, run_edit_sequence_graph,
-    run_edit_sequence_parallel_with_policy, ExecGraph,
-};
+use common::{assert_bit_identical, flat_stages, flat_stages_with, graph_stages_with};
+use depgraph::{lift_collection, run_edit_sequence};
 use incremental::{
-    run_sequence_with_policy, run_state_sequence_with_policy, FailurePolicy, FaultKind, FaultPlan,
-    FaultSpec, FaultyTranslator, ParticleCollection, ResamplePolicy, ResampleScheme, SequenceRun,
-    SmcConfig, Stage, StateTranslator,
+    run_state_sequence, FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator,
+    ParticleCollection, ResamplePolicy, ResampleScheme, RunSpec, SequenceRun, SmcConfig,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -59,47 +58,41 @@ fn initial(ps: &[Program]) -> ParticleCollection {
     ParticleCollection::from_traces(traces)
 }
 
-/// Asserts two flat sequence runs are bit-identical: same per-stage log
-/// weights (to the bit), same choice maps, same health reports.
-fn assert_bit_identical(reference: &SequenceRun, candidate: &SequenceRun, context: &str) {
-    assert_eq!(
-        reference.collections.len(),
-        candidate.collections.len(),
-        "{context}: stage count"
-    );
-    for (stage, (a, b)) in reference
-        .collections
-        .iter()
-        .zip(&candidate.collections)
-        .enumerate()
-    {
-        assert_eq!(a.len(), b.len(), "{context}: stage {stage} size");
-        for (j, (pa, pb)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(
-                pa.log_weight.log().to_bits(),
-                pb.log_weight.log().to_bits(),
-                "{context}: stage {stage} particle {j} weight"
-            );
-            assert_eq!(
-                pa.trace.to_choice_map(),
-                pb.trace.to_choice_map(),
-                "{context}: stage {stage} particle {j} choices"
-            );
-        }
-    }
-    for (a, b) in reference.reports.iter().zip(&candidate.reports) {
-        assert_eq!(a.ess.to_bits(), b.ess.to_bits(), "{context}: report ess");
-        assert_eq!(a.dropped, b.dropped, "{context}: report dropped");
-        assert_eq!(a.retries, b.retries, "{context}: report retries");
-        assert_eq!(a.recovered, b.recovered, "{context}: report recovered");
-    }
+/// Runs the edit history both ways under `spec`: flat-trace interop
+/// and graph-native (flattened at the end).
+fn flat_and_graph(ps: &[Program], init: &ParticleCollection, spec: &RunSpec) -> [SequenceRun; 2] {
+    let flat = run_state_sequence(&flat_stages(ps), init, spec, None).unwrap();
+    let graph = run_edit_sequence(ps, init, spec, None)
+        .unwrap()
+        .flatten()
+        .unwrap();
+    [flat, graph]
+}
+
+/// Runs `plan`-injected faults through both representations under
+/// `policy`.
+fn faulty_flat_and_graph(
+    ps: &[Program],
+    init: &ParticleCollection,
+    plan: &FaultPlan,
+    spec: &RunSpec,
+) -> [SequenceRun; 2] {
+    let flat_stages = flat_stages_with(ps, |t| FaultyTranslator::new(t, plan.clone()));
+    let flat = run_state_sequence(&flat_stages, init, spec, None).unwrap();
+    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
+    let graph_stages = graph_stages_with(&shared, |t| FaultyTranslator::new(t, plan.clone()));
+    let lifted = lift_collection(&shared[0], init).unwrap();
+    let graph = run_state_sequence(&graph_stages, &lifted, spec, None)
+        .unwrap()
+        .flatten()
+        .unwrap();
+    [flat, graph]
 }
 
 #[test]
 fn graph_native_matches_flat_across_failure_policies() {
     let ps = programs();
     let init = initial(&ps);
-    let config = SmcConfig::translate_only();
     for policy in [
         FailurePolicy::FailFast,
         FailurePolicy::DropAndRenormalize { max_loss: 1.0 },
@@ -108,13 +101,12 @@ fn graph_native_matches_flat_across_failure_policies() {
             seed: 5,
         },
     ] {
-        let mut rng_flat = StdRng::seed_from_u64(41);
-        let flat = run_edit_sequence(&ps, &init, &config, &policy, &mut rng_flat).unwrap();
-        let mut rng_graph = StdRng::seed_from_u64(41);
-        let graph = run_edit_sequence_graph(&ps, &init, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+        let spec = RunSpec {
+            policy,
+            base_seed: 41,
+            ..RunSpec::default()
+        };
+        let [flat, graph] = flat_and_graph(&ps, &init, &spec);
         assert_bit_identical(&flat, &graph, &format!("{policy:?}"));
     }
 }
@@ -129,25 +121,17 @@ fn graph_native_matches_flat_across_resampling_schemes() {
         ResampleScheme::Stratified,
         ResampleScheme::Residual,
     ] {
-        let config = SmcConfig {
-            resample: ResamplePolicy::Always,
-            scheme,
-            ..SmcConfig::translate_only()
+        let spec = RunSpec {
+            config: SmcConfig {
+                resample: ResamplePolicy::Always,
+                scheme,
+                ..SmcConfig::translate_only()
+            },
+            base_seed: 43,
+            ..RunSpec::default()
         };
-        let mut rng_flat = StdRng::seed_from_u64(43);
-        let flat = run_edit_sequence(&ps, &init, &config, &FailurePolicy::FailFast, &mut rng_flat)
-            .unwrap();
-        let mut rng_graph = StdRng::seed_from_u64(43);
-        let graph = run_edit_sequence_graph(
-            &ps,
-            &init,
-            &config,
-            &FailurePolicy::FailFast,
-            &mut rng_graph,
-        )
-        .unwrap()
-        .flatten()
-        .unwrap();
+        let [flat, graph] = flat_and_graph(&ps, &init, &spec);
+        assert!(flat.reports.iter().all(|r| r.resampled));
         assert_bit_identical(&flat, &graph, &format!("{scheme:?}"));
     }
 }
@@ -156,7 +140,6 @@ fn graph_native_matches_flat_across_resampling_schemes() {
 fn pooled_runs_are_thread_count_invariant() {
     let ps = programs();
     let init = initial(&ps);
-    let config = SmcConfig::translate_only();
     for policy in [
         FailurePolicy::FailFast,
         FailurePolicy::Retry {
@@ -165,13 +148,16 @@ fn pooled_runs_are_thread_count_invariant() {
         },
     ] {
         let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(47);
-            run_edit_sequence_parallel_with_policy(
-                &ps, &init, &config, &policy, 909, threads, &mut rng,
-            )
-            .unwrap()
-            .flatten()
-            .unwrap()
+            let spec = RunSpec {
+                policy,
+                base_seed: 909,
+                threads,
+                ..RunSpec::default()
+            };
+            run_edit_sequence(&ps, &init, &spec, None)
+                .unwrap()
+                .flatten()
+                .unwrap()
         };
         let reference = run_with(1);
         for threads in [3, 8] {
@@ -192,43 +178,15 @@ fn pooled_runs_are_thread_count_invariant() {
 fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
     let ps = programs();
     let init = initial(&ps);
-    let config = SmcConfig::translate_only();
-    let policy = FailurePolicy::DropAndRenormalize { max_loss: 0.5 };
     let plan = FaultPlan::new()
         .with(FaultSpec::always(1, 3, FaultKind::Error))
         .with(FaultSpec::always(2, 7, FaultKind::NanWeight));
-
-    let flat_chain = edit_chain(&ps);
-    let flat_faulty: Vec<_> = flat_chain
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let stages: Vec<Stage<'_>> = flat_faulty
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect();
-    let mut rng_flat = StdRng::seed_from_u64(53);
-    let flat = run_sequence_with_policy(&stages, &init, &config, &policy, &mut rng_flat).unwrap();
-
-    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
-    let graph_faulty: Vec<_> = edit_chain_shared(&shared)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let graph_stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = graph_faulty
-        .iter()
-        .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-        .collect();
-    let lifted = lift_collection(&shared[0], &init).unwrap();
-    let mut rng_graph = StdRng::seed_from_u64(53);
-    let graph =
-        run_state_sequence_with_policy(&graph_stages, &lifted, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+    let spec = RunSpec {
+        policy: FailurePolicy::DropAndRenormalize { max_loss: 0.5 },
+        base_seed: 53,
+        ..RunSpec::default()
+    };
+    let [flat, graph] = faulty_flat_and_graph(&ps, &init, &plan, &spec);
 
     assert_eq!(flat.reports[1].dropped, 1);
     assert_eq!(flat.reports[2].dropped, 1);
@@ -237,13 +195,7 @@ fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
         .iter()
         .map(|f| f.particle)
         .collect();
-    let graph_failed: Vec<_> = graph.reports[1]
-        .failures
-        .iter()
-        .map(|f| f.particle)
-        .collect();
     assert_eq!(flat_failed, vec![3]);
-    assert_eq!(flat_failed, graph_failed);
     assert_bit_identical(&flat, &graph, "quarantine");
 }
 
@@ -253,43 +205,16 @@ fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
 fn fault_retry_recovers_identically_in_flat_and_graph_runs() {
     let ps = programs();
     let init = initial(&ps);
-    let config = SmcConfig::translate_only();
-    let policy = FailurePolicy::Retry {
-        max_attempts: 2,
-        seed: 9,
-    };
     let plan = FaultPlan::new().with(FaultSpec::once(1, 4, FaultKind::Panic));
-
-    let flat_faulty: Vec<_> = edit_chain(&ps)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let stages: Vec<Stage<'_>> = flat_faulty
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect();
-    let mut rng_flat = StdRng::seed_from_u64(59);
-    let flat = run_sequence_with_policy(&stages, &init, &config, &policy, &mut rng_flat).unwrap();
-
-    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
-    let graph_faulty: Vec<_> = edit_chain_shared(&shared)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let graph_stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = graph_faulty
-        .iter()
-        .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-        .collect();
-    let lifted = lift_collection(&shared[0], &init).unwrap();
-    let mut rng_graph = StdRng::seed_from_u64(59);
-    let graph =
-        run_state_sequence_with_policy(&graph_stages, &lifted, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+    let spec = RunSpec {
+        policy: FailurePolicy::Retry {
+            max_attempts: 2,
+            seed: 9,
+        },
+        base_seed: 59,
+        ..RunSpec::default()
+    };
+    let [flat, graph] = faulty_flat_and_graph(&ps, &init, &plan, &spec);
 
     assert_eq!(flat.reports[1].recovered, 1);
     assert_eq!(flat.reports[1].retries, 1);

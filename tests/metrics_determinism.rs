@@ -8,13 +8,13 @@
 //! per-stage totals are sums of per-particle contributions, so the
 //! schedule may never leak into the numbers.
 
+mod common;
+
 use std::sync::Arc;
 
-use depgraph::{edit_chain, run_edit_sequence_parallel_with_policy};
-use incremental::{
-    metrics, run_sequence_parallel_with_policy, FailurePolicy, MetricsRecorder, ParallelStage,
-    ParticleCollection, SmcConfig,
-};
+use common::flat_stages;
+use depgraph::run_edit_sequence;
+use incremental::{metrics, run_state_sequence, MetricsRecorder, ParticleCollection, RunSpec};
 use ppl::ast::Program;
 use ppl::handlers::simulate;
 use ppl::parse;
@@ -47,6 +47,14 @@ fn programs() -> Vec<Program> {
         .collect()
 }
 
+fn spec(threads: usize) -> RunSpec {
+    RunSpec {
+        base_seed: SEED,
+        threads,
+        ..RunSpec::default()
+    }
+}
+
 fn initial(ps: &[Program]) -> ParticleCollection {
     let mut rng = StdRng::seed_from_u64(11);
     let traces: Vec<_> = (0..PARTICLES)
@@ -62,17 +70,7 @@ fn graph_counters(threads: usize) -> String {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        threads,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_edit_sequence(&programs, &initial, &spec(threads), None).expect("graph-native run");
     recorder.report("graph").counters_json()
 }
 
@@ -81,27 +79,10 @@ fn graph_counters(threads: usize) -> String {
 fn flat_counters(threads: usize) -> String {
     let programs = programs();
     let initial = initial(&programs);
-    let chain = edit_chain(&programs);
-    let stages: Vec<ParallelStage<'_>> = chain
-        .iter()
-        .map(|t| ParallelStage {
-            translator: t,
-            mcmc: None,
-        })
-        .collect();
+    let stages = flat_stages(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_sequence_parallel_with_policy(
-        &stages,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        threads,
-        &mut rng,
-    )
-    .expect("flat run");
+    run_state_sequence(&stages, &initial, &spec(threads), None).expect("flat run");
     recorder.report("flat").counters_json()
 }
 
@@ -138,17 +119,7 @@ fn propagation_totals_reflect_the_chain_workload() {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        2,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_edit_sequence(&programs, &initial, &spec(2), None).expect("graph-native run");
     let report = recorder.report("totals");
     assert_eq!(report.stages.len(), programs.len() - 1);
     let totals = report.total_propagation();
@@ -184,17 +155,7 @@ fn prior_edit_counts_reused_choices() {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        2,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_edit_sequence(&programs, &initial, &spec(2), None).expect("graph-native run");
     let totals = recorder.report("prior-edit").total_propagation();
     assert_eq!(totals.choices_reused, PARTICLES as u64);
     assert_eq!(totals.choices_fresh, 0);

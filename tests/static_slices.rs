@@ -10,11 +10,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{perturb_constants, program_strategy};
-use depgraph::{
-    run_edit_sequence, run_edit_sequence_parallel_with_policy, ExecGraph, IncrementalTranslator,
-};
-use incremental::{collection_checksum, FailurePolicy, ParticleCollection, SmcConfig};
+use common::{flat_stages, perturb_constants, program_strategy};
+use depgraph::{run_edit_sequence, ExecGraph, IncrementalTranslator};
+use incremental::{collection_checksum, run_state_sequence, ParticleCollection, RunSpec};
 use ppl::handlers::simulate;
 use ppl::parse;
 use proptest::prelude::*;
@@ -100,13 +98,11 @@ proptest! {
             .map(|_| simulate(&programs[0], &mut rng).unwrap())
             .collect();
         let particles = ParticleCollection::from_traces(traces);
-        let run = run_edit_sequence(
-            &programs,
-            &particles,
-            &SmcConfig::translate_only(),
-            &FailurePolicy::FailFast,
-            &mut rng,
-        );
+        let spec = RunSpec {
+            base_seed: seed,
+            ..RunSpec::default()
+        };
+        let run = run_state_sequence(&flat_stages(&programs), &particles, &spec, None);
         prop_assert!(
             run.is_ok(),
             "slice oracle rejected sequence of:\n{}\n{}",
@@ -135,17 +131,13 @@ fn slice_oracle_holds_for_every_thread_count() {
     let particles = ParticleCollection::from_traces(traces);
     let mut checksums = Vec::new();
     for threads in [1usize, 3, 8] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let run = run_edit_sequence_parallel_with_policy(
-            &programs,
-            &particles,
-            &SmcConfig::translate_only(),
-            &FailurePolicy::FailFast,
-            42,
+        let spec = RunSpec {
+            base_seed: 42,
             threads,
-            &mut rng,
-        )
-        .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
+            ..RunSpec::default()
+        };
+        let run = run_edit_sequence(&programs, &particles, &spec, None)
+            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
         let flat = run.last().flatten().unwrap();
         checksums.push(collection_checksum(&entries(&flat)));
     }

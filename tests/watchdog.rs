@@ -18,10 +18,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use incremental::{
-    collection_checksum, run_state_sequence_supervised, Backoff, Correspondence,
-    CorrespondenceTranslator, FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
-    FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, SmcError, StagePolicy,
-    StateTranslator, TraceStateAdapter,
+    collection_checksum, run_state_sequence, Backoff, Correspondence, CorrespondenceTranslator,
+    FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator,
+    ParticleCollection, RunSpec, SequenceRun, SmcError, StagePolicy, StateTranslator,
+    TraceStateAdapter,
 };
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
@@ -81,19 +81,13 @@ fn run_supervised(
     policy: &FailurePolicy,
     stage_policy: &StagePolicy,
 ) -> Result<SequenceRun, SmcError> {
-    run_state_sequence_supervised(
-        &stages(plan),
-        &initial_particles(),
-        0,
-        &[],
-        &[],
-        &SmcConfig::translate_only(),
-        policy,
-        stage_policy,
-        SEED,
-        1,
-        None,
-    )
+    let spec = RunSpec {
+        policy: *policy,
+        stage_policy: *stage_policy,
+        base_seed: SEED,
+        ..RunSpec::default()
+    };
+    run_state_sequence(&stages(plan), &initial_particles(), &spec, None)
 }
 
 fn watched() -> StagePolicy {
