@@ -11,7 +11,7 @@
 //!   existing [`ppl::trace_io`] format, which round-trips every `f64`
 //!   exactly;
 //! - the number of completed stages and the run's base seed — with the
-//!   supervised runner's per-stage seed derivation
+//!   per-stage seed derivation of [`crate::run_state_sequence`]
 //!   ([`crate::stage_seed`] / [`crate::resample_seed`]) these two values
 //!   reconstruct *all* remaining randomness, so no RNG state needs to be
 //!   persisted;
@@ -163,7 +163,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Builds a checkpoint from a supervised-runner stage snapshot,
+    /// Builds a checkpoint from a [`crate::run_state_sequence`] stage snapshot,
     /// flattening the collection to weighted choice maps.
     ///
     /// # Errors

@@ -180,7 +180,7 @@ impl<S, T: StateTranslator<S> + ?Sized> StateTranslator<S> for Box<T> {
 /// [`StateTranslator`]`<Trace>` runtime interface (forwarding the call
 /// context), so flat-trace stages can be driven by the state-generic
 /// machinery — in particular the `Arc<dyn StateTranslator<_>>` stages of
-/// the supervised sequence runner.
+/// [`crate::run_state_sequence`].
 ///
 /// (A blanket `impl StateTranslator<Trace> for T: TraceTranslator` would
 /// conflict with wrapper impls such as [`crate::FaultyTranslator`]'s
